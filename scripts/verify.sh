@@ -16,6 +16,8 @@
 # 6. Realnet stage: the STD-IF conformance labels (`nd`, `realnet`) plus
 #    the realnet half of the parameterized integration suite, normal build
 #    and TSan — real listener/reader threads over real loopback sockets.
+#    The caller-runs dispatch suite (label `dispatch`, both backends) runs
+#    with them, repeated under TSan.
 # 7. Fabric-seed sweep: re-run the pipeline + chaos suites across 10 fixed
 #    fabric seeds (NTCS_FABRIC_SEED), normal build and TSan build. Each
 #    seed is a different deterministic fault/latency schedule; the
@@ -45,9 +47,10 @@
 #    trios, the seeded historical-bug reproductions, the stored minimal
 #    replay fixtures, and the clean-fragment zero-race/zero-inversion
 #    anchor — normal build, then ASan (the explorer's fibers and the
-#    vector-clock bookkeeping under memory checking). The fuzz corpus
-#    replay (label `fuzz`) rides along here: wire decoders over the
-#    checked-in corpus in both builds.
+#    vector-clock bookkeeping under memory checking). The pump-role
+#    hand-off scenarios and the dispatch suite then repeat under TSan.
+#    The fuzz corpus replay (label `fuzz`) rides along here: wire
+#    decoders over the checked-in corpus in both builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,13 +94,18 @@ ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
 # run under TSan — the TCP backend's listener/reader/reaper threads are
 # real OS concurrency, not the fabric's deterministic scheduler.
 cmake --build "$TSAN_DIR" -j"$(nproc)" --target realnet_test \
-  multiprocess_test multiprocess_peer integration_test
+  multiprocess_test multiprocess_peer integration_test dispatch_test
 ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure \
-  -L 'nd|realnet'
+  -L 'nd|realnet|dispatch'
 ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure \
   -R '/realnet' # the realnet half of the parameterized suites
 ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
   -L 'nd|realnet' --repeat until-fail:3
+# One at a time: the dispatch cases measure which thread processed each
+# delivery, and TSan-slowed test processes oversubscribing the CPUs
+# change that answer, not the correctness the race detector checks.
+ctest --test-dir "$TSAN_DIR" -j1 --output-on-failure \
+  -L dispatch --repeat until-fail:3
 ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
   -R '/realnet'
 
@@ -181,6 +189,13 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target ntcs_top
 # checked-in corpus, both builds.
 ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure -L sched
 ctest --test-dir "$ASAN_DIR" -j"$(nproc)" --output-on-failure -L sched
+# The pump-role hand-off under TSan: the explored scenarios once (they
+# are deterministic), then the dispatch suite that drives the same inbox
+# with real threads, repeated and one at a time (see the realnet stage).
+cmake --build "$TSAN_DIR" -j"$(nproc)" --target sched_test dispatch_test
+ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure -R Handoff
+ctest --test-dir "$TSAN_DIR" -j1 --output-on-failure \
+  -L dispatch --repeat until-fail:3
 ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure -L fuzz
 ctest --test-dir "$ASAN_DIR" -j"$(nproc)" --output-on-failure -L fuzz
 

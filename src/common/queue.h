@@ -112,6 +112,12 @@ class BlockingQueue {
 
   bool empty() const { return size() == 0; }
 
+  /// A pop would not block: an item is queued or the queue is closed.
+  bool ready() const {
+    ntcs::LockGuard lk(mu_);
+    return !q_.empty() || closed_;
+  }
+
  private:
   Status push_class(T item, std::size_t reserve) {
     {

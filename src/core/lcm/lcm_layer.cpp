@@ -4,6 +4,7 @@
 #include <deque>
 #include <thread>
 
+#include "common/atomic.h"
 #include "common/health.h"
 #include "common/metrics.h"
 
@@ -136,6 +137,10 @@ struct PendingRequest {
   ntcs::Mutex mu{ntcs::lockrank::kLcmRequest, "lcm.request"};
   ntcs::CondVar cv;
   std::optional<ntcs::Result<Reply>> result GUARDED_BY(mu);
+  // `result` is set, readable without the lock: the predicate a
+  // caller-runs waiter checks under its port's inbox lock, where taking
+  // lcm.request would invert the rank order.
+  ntcs::Atomic<bool> ready{false};
   // sync: routing breadcrumbs stamped by the send path and read by the
   // teardown sweep without the ticket lock; 0 means "not routed that way".
   std::atomic<std::uint64_t> via_lvc{0};
@@ -310,9 +315,9 @@ ntcs::Result<ResolvedDest> LcmLayer::resolved_for(UAdd dst) {
   return rd.value();
 }
 
-ntcs::Result<ntcs::Bytes> LcmLayer::encode_body(const Payload& p,
-                                                convert::Arch peer_arch,
-                                                convert::XferMode& mode_out) {
+ntcs::Result<ntcs::BytesView> LcmLayer::encode_body(
+    const Payload& p, convert::Arch peer_arch, convert::XferMode& mode_out,
+    ntcs::Bytes& packed) {
   // §5: the decision to convert is taken here, at the lowest layer where
   // the destination machine type is visible. No pack routine means the
   // application vouches for representation independence.
@@ -320,10 +325,13 @@ ntcs::Result<ntcs::Bytes> LcmLayer::encode_body(const Payload& p,
       convert::choose_mode(identity_->arch(), peer_arch) ==
           convert::XferMode::packed) {
     mode_out = convert::XferMode::packed;
-    return p.pack();
+    auto b = p.pack();
+    if (!b) return b.error();
+    packed = std::move(b.value());
+    return ntcs::BytesView(packed);
   }
   mode_out = convert::XferMode::image;
-  return p.image;
+  return ntcs::BytesView(p.image);
 }
 
 ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
@@ -435,7 +443,8 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
       const convert::Arch peer_arch =
           peer ? peer->arch : identity_->arch();
       convert::XferMode mode = convert::XferMode::image;
-      auto body = encode_body(p, peer_arch, mode);
+      ntcs::Bytes packed;
+      auto body = encode_body(p, peer_arch, mode, packed);
       if (!body) return body.error();
 
       wire::LcmHeader hdr;
@@ -744,6 +753,7 @@ ntcs::Status LcmLayer::issue(const RequestTicket& t) {
   {
     ntcs::LockGuard sl(t->mu);
     t->result.reset();
+    t->ready.store(false);
   }
   t->req_id = req_id;
   t->via_lvc.store(0);
@@ -767,7 +777,13 @@ ntcs::Status LcmLayer::issue(const RequestTicket& t) {
   return ntcs::Status::success();
 }
 
-ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst, const Payload& p,
+ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst,
+                                                    const Payload& p,
+                                                    SendOptions opts) {
+  return request_async(dst, Payload(p), opts);
+}
+
+ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst, Payload&& p,
                                                     SendOptions opts) {
   if (!dst.valid()) {
     return ntcs::Error(ntcs::Errc::bad_argument, "invalid destination");
@@ -782,7 +798,7 @@ ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst, const Payload& p,
   }
   auto t = std::make_shared<PendingRequest>();
   t->dst = dst;
-  t->payload = p;
+  t->payload = std::move(p);
   t->opts = opts;
   // The deadline is absolute from the moment of issue and is shared by
   // every retry; nanosecond-resolution arithmetic end to end, so sub-ms
@@ -805,6 +821,19 @@ ntcs::Result<Reply> LcmLayer::await(const RequestTicket& t) {
   }
   t->awaited = true;
   for (;;) {
+    // Caller-runs dispatch: rather than sleep while the pump wakes up to
+    // process the reply, run this node's deliveries here until ours is in.
+    // Only for the node's sole request in flight: with a window of them
+    // the replies are a stream, and the pump works through it while the
+    // caller consumes (pipelined parallelism).
+    bool alone = false;
+    {
+      ntcs::LockGuard lk(mu_);
+      alone = pending_.size() == 1;
+    }
+    if (alone) {
+      (void)serve_inbox([&t] { return t->ready.load(); }, t->deadline);
+    }
     ntcs::Result<Reply> outcome =
         ntcs::Error(ntcs::Errc::timeout, "reply timed out");
     {
@@ -865,9 +894,14 @@ ntcs::Result<Reply> LcmLayer::await(const RequestTicket& t) {
 
 ntcs::Result<Reply> LcmLayer::request(UAdd dst, const Payload& p,
                                       SendOptions opts) {
+  return request(dst, Payload(p), opts);
+}
+
+ntcs::Result<Reply> LcmLayer::request(UAdd dst, Payload&& p,
+                                      SendOptions opts) {
   static metrics::Histogram& m_rtt = metrics::histogram("lcm.request_rtt_ns");
   metrics::ScopedTimer rtt_timer(m_rtt);
-  auto t = request_async(dst, p, opts);
+  auto t = request_async(dst, std::move(p), opts);
   if (!t) return t.error();
   return await(t.value());
 }
@@ -885,7 +919,8 @@ ntcs::Status LcmLayer::reply(const ReplyCtx& ctx, const Payload& p) {
   auto peer = ip_.nd().peer(ctx.via.lvc);
   const convert::Arch peer_arch = peer ? peer->arch : identity_->arch();
   convert::XferMode mode = convert::XferMode::image;
-  auto body = encode_body(p, peer_arch, mode);
+  ntcs::Bytes packed;
+  auto body = encode_body(p, peer_arch, mode, packed);
   if (!body) return body.error();
 
   wire::LcmHeader hdr;
@@ -934,7 +969,29 @@ ntcs::Status LcmLayer::dgram(UAdd dst, const Payload& p, SendOptions opts) {
 }
 
 ntcs::Result<Incoming> LcmLayer::receive(std::chrono::nanoseconds timeout) {
-  return app_queue_.pop_for(timeout);
+  const auto now = std::chrono::steady_clock::now();
+  const auto deadline =
+      timeout >= std::chrono::steady_clock::time_point::max() - now
+          ? std::chrono::steady_clock::time_point::max()
+          : now + timeout;
+  // Caller-runs dispatch, as in await(): serve this node's inbox until a
+  // message is queued. Another receiver may take it first; then go again.
+  while (!app_queue_.ready() &&
+         serve_inbox([this] { return app_queue_.ready(); }, deadline)) {
+  }
+  return app_queue_.pop_for(
+      std::max(deadline - std::chrono::steady_clock::now(),
+               std::chrono::steady_clock::duration::zero()));
+}
+
+bool LcmLayer::serve_inbox(const std::function<bool()>& done,
+                               std::chrono::steady_clock::time_point deadline) {
+  return ip_.nd().serve(done, deadline,
+                        [this](const NdEvent& ev) { upcall(ev); });
+}
+
+void LcmLayer::upcall(const NdEvent& ev) {
+  for (IpEvent& ipev : ip_.on_nd_event(ev)) on_ip_event(std::move(ipev));
 }
 
 void LcmLayer::on_ip_event(IpEvent ev) {
@@ -996,6 +1053,7 @@ void LcmLayer::on_ip_event(IpEvent ev) {
           const bool internal = in.internal;
           auto st = internal ? app_queue_.push_control(std::move(in))
                              : app_queue_.push(std::move(in));
+          if (st.ok()) ip_.nd().wake_waiters();
           if (!st.ok() && st.code() == ntcs::Errc::no_resource) {
             // Bounded queue full: shed. Data and dgrams have no reply
             // channel to signal on — the drop is visible in the metric and
@@ -1030,6 +1088,7 @@ void LcmLayer::on_ip_event(IpEvent ev) {
           const UAdd requester = m.header.src;
           auto st = internal ? app_queue_.push_control(std::move(in))
                              : app_queue_.push(std::move(in));
+          if (st.ok()) ip_.nd().wake_waiters();
           if (!st.ok() && st.code() == ntcs::Errc::no_resource) {
             // Bounded queue full: shed the request and tell the sender so
             // with a busy reply — it pauses admission toward us instead of
@@ -1049,12 +1108,15 @@ void LcmLayer::on_ip_event(IpEvent ev) {
             bh.req_id = req_id;
             bh.mode = convert::xfer_mode_wire_id(convert::XferMode::image);
             bh.src_arch = convert::arch_wire_id(identity_->arch());
-            if ((ip_.send(ev.via, wire::encode_lcm(bh, {}))).ok()) {
-              static metrics::Counter& m_busy =
-                  metrics::counter("lcm.busy_frames");
-              m_busy.inc();
-              busy_frames_.fetch_add(1, std::memory_order_relaxed);
-            }
+            // Counted before the send: the requester may hold its
+            // overloaded result before ip_.send() returns here, and the
+            // shed = busy-frame identity must already hold when it looks.
+            // A frame lost with its circuit still counts as issued.
+            static metrics::Counter& m_busy =
+                metrics::counter("lcm.busy_frames");
+            m_busy.inc();
+            busy_frames_.fetch_add(1, std::memory_order_relaxed);
+            (void)ip_.send(ev.via, wire::encode_lcm(bh, {}));
           }
           return;
         }
@@ -1124,14 +1186,8 @@ void LcmLayer::on_ip_event(IpEvent ev) {
         }
       }
       for (auto& t : broken) {
-        {
-          ntcs::LockGuard sl(t->mu);
-          if (!t->result) {
-            t->result = ntcs::Error(ntcs::Errc::address_fault,
-                                    "circuit closed while awaiting reply");
-            t->cv.notify_all();
-          }
-        }
+        settle(*t, ntcs::Error(ntcs::Errc::address_fault,
+                               "circuit closed while awaiting reply"));
         release_window(*t);
       }
       return;
@@ -1147,13 +1203,7 @@ void LcmLayer::complete(std::uint32_t req_id, ntcs::Result<Reply> result) {
     if (it == pending_.end()) return;  // late reply after timeout: dropped
     t = it->second;
   }
-  {
-    ntcs::LockGuard sl(t->mu);
-    if (!t->result) {
-      t->result = std::move(result);
-      t->cv.notify_all();
-    }
-  }
+  settle(*t, std::move(result));
   // The request is finished the moment its result exists — its window slot
   // frees immediately, not when the awaiter gets scheduled.
   release_window(*t);
@@ -1179,16 +1229,21 @@ void LcmLayer::shutdown() {
     w->cv.notify_all();
   }
   for (auto& t : pending) {
-    {
-      ntcs::LockGuard sl(t->mu);
-      if (!t->result) {
-        t->result =
-            ntcs::Error(ntcs::Errc::shutdown, "module shutting down");
-        t->cv.notify_all();
-      }
-    }
+    settle(*t, ntcs::Error(ntcs::Errc::shutdown, "module shutting down"));
     release_window(*t);
   }
+  ip_.nd().wake_waiters();  // receive() waiters see the closed queue
+}
+
+void LcmLayer::settle(PendingRequest& t, ntcs::Result<Reply> result) {
+  {
+    ntcs::LockGuard sl(t.mu);
+    if (t.result) return;
+    t.result = std::move(result);
+    t.ready.store(true);
+  }
+  t.cv.notify_all();
+  ip_.nd().wake_waiters();
 }
 
 UAdd LcmLayer::current_target(UAdd dst) { return chase_forward(dst); }

@@ -209,7 +209,9 @@ class LcmLayer {
   ntcs::Status send(UAdd dst, const Payload& p, SendOptions opts = {});
 
   /// Synchronous send/receive/reply: send a request, wait for the reply.
-  /// Equivalent to request_async() + await().
+  /// Equivalent to request_async() + await(). The ticket keeps the
+  /// payload for retries: an rvalue is moved in, an lvalue copied.
+  ntcs::Result<Reply> request(UAdd dst, Payload&& p, SendOptions opts = {});
   ntcs::Result<Reply> request(UAdd dst, const Payload& p,
                               SendOptions opts = {});
 
@@ -220,6 +222,8 @@ class LcmLayer {
   /// request's deadline is fixed here (opts.timeout from now, with the
   /// configured default when zero) and covers admission, transmission,
   /// retries, and the reply wait.
+  ntcs::Result<RequestTicket> request_async(UAdd dst, Payload&& p,
+                                            SendOptions opts = {});
   ntcs::Result<RequestTicket> request_async(UAdd dst, const Payload& p,
                                             SendOptions opts = {});
 
@@ -228,7 +232,10 @@ class LcmLayer {
   /// machinery runs *for this request alone* — it is re-sent with a fresh
   /// correlation ID against the relocated destination, under the same
   /// deadline — while other requests on the circuit fail and retry
-  /// independently. await() may be called once per ticket.
+  /// independently. await() may be called once per ticket. When this is
+  /// the node's only request in flight, the caller runs its node's
+  /// deliveries itself while the pump is idle (caller-runs dispatch,
+  /// DESIGN.md §6).
   ntcs::Result<Reply> await(const RequestTicket& t);
 
   /// Answer a received request.
@@ -237,8 +244,14 @@ class LcmLayer {
   /// Connectionless protocol: best effort, no relocation recovery.
   ntcs::Status dgram(UAdd dst, const Payload& p, SendOptions opts = {});
 
-  /// Blocking receive of the next application-bound message.
+  /// Blocking receive of the next application-bound message; while the
+  /// queue is empty the caller runs its node's deliveries like await().
   ntcs::Result<Incoming> receive(std::chrono::nanoseconds timeout);
+
+  /// Run one ND event up through the IP-Layer into this layer: the body
+  /// of the node's dispatch loop, shared by the pump and by threads
+  /// waiting in await/receive. Never blocks.
+  void upcall(const NdEvent& ev);
 
   /// Pump integration (never blocks).
   void on_ip_event(IpEvent ev);
@@ -262,7 +275,7 @@ class LcmLayer {
     std::uint64_t tadds_promoted = 0;
     std::uint64_t window_stalls = 0;   // callers that blocked on a full window
     std::uint64_t shed = 0;            // inbound messages dropped at the bound
-    std::uint64_t busy_frames = 0;     // busy replies sent back to requesters
+    std::uint64_t busy_frames = 0;     // busy replies issued to requesters
     std::uint64_t busy_pauses = 0;     // admissions paused by a peer's busy
     std::uint64_t admission_rejects = 0;  // overloaded fast-rejects
     std::uint64_t waiter_sweeps = 0;   // expired waiters swept from windows
@@ -279,9 +292,19 @@ class LcmLayer {
                                        std::uint32_t req_id, const Payload& p,
                                        const SendOptions& opts,
                                        int fault_retries);
-  ntcs::Result<ntcs::Bytes> encode_body(const Payload& p,
-                                        convert::Arch peer_arch,
-                                        convert::XferMode& mode_out);
+  /// The wire body of `p` for a peer of `peer_arch`: a view of the image,
+  /// or of `packed` once the pack routine has filled it.
+  ntcs::Result<ntcs::BytesView> encode_body(const Payload& p,
+                                            convert::Arch peer_arch,
+                                            convert::XferMode& mode_out,
+                                            ntcs::Bytes& packed);
+  /// Caller-runs dispatch: serve this node's inbox until `done()` holds
+  /// (evaluated under the inbox lock — atomics or leaf locks only).
+  bool serve_inbox(const std::function<bool()>& done,
+                       std::chrono::steady_clock::time_point deadline);
+  /// Publish a request's outcome (unless it already has one) and wake
+  /// whoever waits for it.
+  void settle(PendingRequest& t, ntcs::Result<Reply> result);
   /// (Re-)issue a pending request: window admission, fresh correlation ID,
   /// table insert, send.
   ntcs::Status issue(const RequestTicket& t);

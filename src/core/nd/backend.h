@@ -37,6 +37,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -93,6 +94,22 @@ class IpcsPort {
   /// Errc::timeout (nothing arrived), Errc::closed (port torn down).
   virtual ntcs::Result<IpcsDelivery> recv_for(
       std::chrono::nanoseconds timeout) = 0;
+
+  /// Caller-runs dispatch: block the calling thread until `done()` holds
+  /// or `deadline` passes, and while it waits run deliveries through
+  /// `handle` whenever the pump role is free (core/nd/inbox.h has the
+  /// rules). `done` is evaluated under the inbox lock: it may take no
+  /// lock, or only locks ranked after the inbox's. recv_for() callers are
+  /// the pump role; at most one delivery is in processing per port.
+  /// Returns whether `done()` held; false when the deadline passed or the
+  /// port closed first (the caller then waits some other way).
+  virtual bool serve(const std::function<bool()>& done,
+                         std::chrono::steady_clock::time_point deadline,
+                         const std::function<void(IpcsDelivery)>& handle) = 0;
+
+  /// Make every serve() waiter re-check its predicate. Call after making
+  /// a predicate true; lock-free when nobody waits.
+  virtual void wake_waiters() = 0;
 
   /// Close one channel; the peer gets a `closed` delivery.
   virtual ntcs::Status close_channel(IpcsChannelId chan) = 0;

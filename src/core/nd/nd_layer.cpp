@@ -159,6 +159,7 @@ ntcs::Status NdLayer::send(LvcId lvc, ntcs::BytesView ip_envelope) {
   if (!port_) {
     return ntcs::Status(ntcs::Errc::bad_argument, "ND-Layer not bound");
   }
+  std::shared_ptr<TxState> tx;
   {
     ntcs::LockGuard lk(mu_);
     auto it = lvcs_.find(lvc);
@@ -166,27 +167,31 @@ ntcs::Status NdLayer::send(LvcId lvc, ntcs::BytesView ip_envelope) {
       return ntcs::Status(ntcs::Errc::address_fault, "LVC is gone");
     }
     ++stats_.messages_sent;
+    tx = it->second.tx;
   }
   static metrics::Counter& m_sent = metrics::counter("nd.msgs_sent");
   m_sent.inc();
-  return send_raw(lvc, wire::encode_nd_payload(ip_envelope));
+  return send_frames(lvc, *tx, wire::encode_nd_payload(ip_envelope));
 }
 
 ntcs::Status NdLayer::send_raw(LvcId lvc, ntcs::BytesView nd_message) {
-  // Hold the circuit's transmit lock across all fragments so concurrent
-  // senders on the same LVC cannot interleave mid-message, and stamp each
-  // fragment with the circuit's running frame number.
-  std::shared_ptr<TxState> tx_state;
+  std::shared_ptr<TxState> tx;
   {
     ntcs::LockGuard lk(mu_);
     auto it = lvcs_.find(lvc);
-    if (it != lvcs_.end()) tx_state = it->second.tx;
+    if (it != lvcs_.end()) tx = it->second.tx;
   }
-  if (!tx_state) {
-    // The circuit vanished between lookup and here (or this is the open
-    // handshake racing creation); private state preserves the invariant.
-    tx_state = std::make_shared<TxState>();
-  }
+  // The circuit vanished (or this is the open handshake racing creation):
+  // private state preserves the invariant.
+  if (!tx) tx = std::make_shared<TxState>();
+  return send_frames(lvc, *tx, nd_message);
+}
+
+ntcs::Status NdLayer::send_frames(LvcId lvc, TxState& tx,
+                                  ntcs::BytesView nd_message) {
+  // Hold the circuit's transmit lock across all fragments so concurrent
+  // senders on the same LVC cannot interleave mid-message, and stamp each
+  // fragment with the circuit's running frame number.
   static metrics::Counter& m_no_copy =
       metrics::counter("nd.frag_copies_avoided");
   const trace::TraceContext tctx =
@@ -194,12 +199,12 @@ ntcs::Status NdLayer::send_raw(LvcId lvc, ntcs::BytesView nd_message) {
   const std::int64_t frag_start = tctx.valid() ? trace::now_ns() : 0;
   std::size_t frames = 0;
   {
-    ntcs::LockGuard tx(tx_state->mu);
+    ntcs::LockGuard txlk(tx.mu);
     // Zero-copy fragmentation: each frame is a small stack-encoded header
     // plus a view into the original message, gathered by the IPCS into the
     // delivery buffer. No per-fragment Bytes is ever materialised.
     for (const wire::FragSpan& s :
-         wire::fragment_spans(nd_message, port_->mtu(), tx_state->seq)) {
+         wire::fragment_spans(nd_message, port_->mtu(), tx.seq)) {
       std::uint8_t hdr[wire::kFragHeaderMax];
       const std::size_t hn = wire::encode_frag_header(s, hdr);
       auto st = port_->send(lvc, ntcs::BytesView(hdr, hn), s.chunk);
@@ -216,13 +221,10 @@ ntcs::Status NdLayer::send_raw(LvcId lvc, ntcs::BytesView nd_message) {
     }
   }
   m_no_copy.inc(frames);
+  frag_copies_avoided_.fetch_add(frames, std::memory_order_relaxed);
   if (tctx.valid()) {
     trace::record_child(tctx, "nd", "fragment", identity_->name(), frag_start,
                         trace::now_ns(), static_cast<std::uint32_t>(frames));
-  }
-  {
-    ntcs::LockGuard lk(mu_);
-    stats_.frag_copies_avoided += frames;
   }
   return ntcs::Status::success();
 }
@@ -245,7 +247,31 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::pump(
   if (!port_) return ntcs::Error(ntcs::Errc::closed, "not bound");
   auto d = port_->recv_for(timeout);
   if (!d) return d.error();
+  static metrics::Counter& m_by_pump = metrics::counter("nd.deliveries_by_pump");
+  m_by_pump.inc();
+  deliveries_by_pump_.fetch_add(1, std::memory_order_relaxed);
   return handle_delivery(std::move(d.value()));
+}
+
+bool NdLayer::serve(const std::function<bool()>& done,
+                        std::chrono::steady_clock::time_point deadline,
+                        const std::function<void(const NdEvent&)>& upcall) {
+  if (!port_) return false;
+  static metrics::Counter& m_by_waiter =
+      metrics::counter("nd.deliveries_by_waiter");
+  // The waiter's own request context must not leak onto the spans of the
+  // deliveries it happens to process (the pump has none).
+  trace::ContextScope untraced(trace::TraceContext{});
+  return port_->serve(done, deadline, [&](IpcsDelivery d) {
+    m_by_waiter.inc();
+    deliveries_by_waiter_.fetch_add(1, std::memory_order_relaxed);
+    auto ev = handle_delivery(std::move(d));
+    if (ev && ev.value()) upcall(*ev.value());
+  });
+}
+
+void NdLayer::wake_waiters() {
+  if (port_) port_->wake_waiters();
 }
 
 ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
@@ -471,8 +497,17 @@ void NdLayer::shutdown() {
 }
 
 NdLayer::Stats NdLayer::stats() const {
-  ntcs::LockGuard lk(mu_);
-  return stats_;
+  Stats out;
+  {
+    ntcs::LockGuard lk(mu_);
+    out = stats_;
+  }
+  out.frag_copies_avoided =
+      frag_copies_avoided_.load(std::memory_order_relaxed);
+  out.deliveries_by_pump = deliveries_by_pump_.load(std::memory_order_relaxed);
+  out.deliveries_by_waiter =
+      deliveries_by_waiter_.load(std::memory_order_relaxed);
+  return out;
 }
 
 }  // namespace ntcs::core

@@ -19,8 +19,10 @@
 //     real UAdd is learned.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -103,8 +105,23 @@ class NdLayer {
   /// Pump one IPCS delivery. Returns an event for the IP-Layer, or
   /// std::nullopt when the delivery was internal to the ND-Layer (open
   /// protocol, mid-message fragment). Errors: timeout, closed (endpoint
-  /// gone — pump loop should exit).
+  /// gone — pump loop should exit). The caller holds the pump role: the
+  /// delivery counts as in processing until its next pump() call.
   ntcs::Result<std::optional<NdEvent>> pump(std::chrono::nanoseconds timeout);
+
+  /// Caller-runs dispatch (DESIGN.md §6): block until `done()` holds or
+  /// `deadline` passes, and meanwhile process this module's deliveries on
+  /// the calling thread whenever the pump is idle, handing each resulting
+  /// event to `upcall` — the work the pump would otherwise wake up for.
+  /// Deliveries run with the caller's trace context cleared, exactly as
+  /// on the pump. `done` runs under the port's inbox lock (IpcsPort::serve).
+  /// Returns whether `done()` held (false also when there is no port).
+  bool serve(const std::function<bool()>& done,
+                 std::chrono::steady_clock::time_point deadline,
+                 const std::function<void(const NdEvent&)>& upcall);
+
+  /// Make every serve() waiter re-check its predicate (IpcsPort).
+  void wake_waiters();
 
   /// Peer info learned during the open exchange.
   std::optional<PeerInfo> peer(LvcId lvc) const;
@@ -140,6 +157,10 @@ class NdLayer {
     // — each one a per-fragment Bytes materialisation that no longer
     // happens.
     std::uint64_t frag_copies_avoided = 0;
+    // Who processed this module's IPCS deliveries: the pump thread, or a
+    // thread waiting in await/receive (caller-runs dispatch).
+    std::uint64_t deliveries_by_pump = 0;
+    std::uint64_t deliveries_by_waiter = 0;
   };
   Stats stats() const;
 
@@ -175,6 +196,8 @@ class NdLayer {
   ntcs::Result<std::optional<NdEvent>> handle_message(LvcId lvc,
                                                       ntcs::Bytes msg);
   ntcs::Status send_raw(LvcId lvc, ntcs::BytesView nd_message);
+  /// Fragment and transmit under the circuit's tx lock.
+  ntcs::Status send_frames(LvcId lvc, TxState& tx, ntcs::BytesView nd_message);
 
   IpcsBackend& backend_;
   std::string local_name_;
@@ -194,6 +217,11 @@ class NdLayer {
       GUARDED_BY(mu_);
   std::unordered_map<UAdd, PhysAddr> phys_cache_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
+  // sync: relaxed per-node counters bumped outside nd.state on the send
+  // and dispatch hot paths; stats() folds them into Stats.
+  std::atomic<std::uint64_t> frag_copies_avoided_{0};
+  std::atomic<std::uint64_t> deliveries_by_pump_{0};    // sync: as above
+  std::atomic<std::uint64_t> deliveries_by_waiter_{0};  // sync: as above
 };
 
 }  // namespace ntcs::core

@@ -63,10 +63,7 @@ void Node::pump_main(const std::stop_token& st) {
       if (ev.code() == ntcs::Errc::timeout) continue;
       break;  // endpoint closed: module is going away
     }
-    if (!ev.value()) continue;  // internal to the ND-Layer
-    for (IpEvent& ipev : ip_.on_nd_event(*ev.value())) {
-      lcm_.on_ip_event(std::move(ipev));
-    }
+    if (ev.value()) lcm_.upcall(*ev.value());  // else internal to ND
   }
 }
 

@@ -3,10 +3,19 @@
 // A Node is the in-process equivalent of the paper's "process bound with a
 // ComMod" (Fig. 2-1): it owns the module's Identity, the three Nucleus
 // layers (ND, IP, LCM), the ComMod layers (NSP, ALI) and the pump thread
-// that drives deliveries upward through them. The layers themselves stay
-// passive, exactly as in the paper; the pump is the modern stand-in for
-// the original's in-process upcall path, and it NEVER blocks — every
-// blocking primitive runs on application/service threads.
+// that drives deliveries upward through them (LcmLayer::upcall). The
+// layers themselves stay passive, exactly as in the paper; the pump NEVER
+// blocks — every blocking primitive runs on application/service threads.
+//
+// The pump is not the only thread that runs deliveries. In the paper the
+// ComMod is bound into the application process, so a process waiting for a
+// reply is the one that receives it. Here a thread about to block in
+// LcmLayer::await or LcmLayer::receive does the same while the pump is
+// idle: it takes the pump role, runs deliveries up the stack on its own
+// stack, and returns once what it waits for is there (caller-runs
+// dispatch; DESIGN.md §6 "Who consumes a port"). The pump keeps the role
+// while it is busy and still carries unsolicited traffic, gateway relays
+// and the heartbeat.
 #pragma once
 
 #include <memory>

@@ -167,27 +167,34 @@ bool TcpBackend::probe(const std::string& phys) {
 
 // ---- TcpPort --------------------------------------------------------------
 
+namespace {
+
+core::InboxConfig inbox_config(const TcpConfig& cfg) {
+  static metrics::Counter& m_stalls = metrics::counter("realnet.inbox_stalls");
+  static metrics::Gauge& g_bound = metrics::gauge("realnet.inbox.bound");
+  g_bound.set(static_cast<std::int64_t>(cfg.inbox_capacity));
+  core::InboxConfig c;
+  c.rank = ntcs::lockrank::kRealnetInbox;
+  c.name = "realnet.inbox";
+  c.capacity = cfg.inbox_capacity;
+  c.block_when_full = true;
+  c.depth = &inbox_depth_gauge();
+  c.full = &m_stalls;
+  return c;
+}
+
+}  // namespace
+
 TcpPort::TcpPort(TcpConfig cfg, int listen_fd, int wake_rd, int wake_wr,
                  std::string phys)
     : cfg_(std::move(cfg)),
       phys_(std::move(phys)),
       listen_fd_(listen_fd),
       wake_rd_(wake_rd),
-      wake_wr_(wake_wr) {
-  static ntcs::metrics::Gauge& g_bound =
-      ntcs::metrics::gauge("realnet.inbox.bound");
-  g_bound.set(static_cast<std::int64_t>(cfg_.inbox_capacity));
-}
+      wake_wr_(wake_wr),
+      inbox_(inbox_config(cfg_)) {}
 
-TcpPort::~TcpPort() {
-  close();
-  // Undrained deliveries die with the port; the aggregate depth gauge
-  // must not keep counting them.
-  ntcs::LockGuard lk(inbox_mu_);
-  if (!inbox_.empty()) {
-    inbox_depth_gauge().sub(static_cast<std::int64_t>(inbox_.size()));
-  }
-}
+TcpPort::~TcpPort() { close(); }
 
 void TcpPort::listener_main() {
   for (;;) {
@@ -250,7 +257,8 @@ core::IpcsChannelId TcpPort::adopt_fd(int fd, const std::string& peer_phys,
     // The opened delivery must be enqueued before the reader thread
     // exists: a fast peer's first frame may already be in the socket
     // buffer, and the STD-IF contract orders `opened` before `data`.
-    // (mu_ < inbox_mu_ in the lock hierarchy, so enqueueing here is fine.)
+    // (realnet.port < realnet.inbox in the lock hierarchy, so enqueueing
+    // here is fine.)
     if (announce) {
       core::IpcsDelivery d;
       d.kind = core::IpcsDeliveryKind::opened;
@@ -298,28 +306,13 @@ void TcpPort::reader_main(core::IpcsChannelId chan, int fd) {
 }
 
 void TcpPort::enqueue(core::IpcsDelivery d) {
-  {
-    ntcs::UniqueLock lk(inbox_mu_);
-    if (inbox_closed_) return;
-    if (d.kind == core::IpcsDeliveryKind::data && cfg_.inbox_capacity != 0) {
-      // Bounded inbox: block this reader until the consumer drains (which
-      // propagates back-pressure onto the TCP stream — see TcpConfig).
-      // opened/closed bypass, and port teardown (closing_) releases us:
-      // close() joins readers before marking the inbox closed, so waiting
-      // on inbox_closed_ alone would deadlock the join.
-      static metrics::Counter& m_stalls =
-          metrics::counter("realnet.inbox_stalls");
-      if (inbox_.size() >= cfg_.inbox_capacity) m_stalls.inc();
-      inbox_space_cv_.wait(lk, [&] {
-        return inbox_.size() < cfg_.inbox_capacity || inbox_closed_ ||
-               closing_.load(std::memory_order_acquire);
-      });
-      if (inbox_closed_ || closing_.load(std::memory_order_acquire)) return;
-    }
-    inbox_.push_back(std::move(d));
-    inbox_depth_gauge().add(1);
-  }
-  inbox_cv_.notify_one();
+  // A data delivery that finds the inbox full blocks this reader until
+  // the consumer drains (which propagates back-pressure onto the TCP
+  // stream — see TcpConfig); opened/closed bypass the bound, and port
+  // teardown releases a blocked reader (close() joins readers before it
+  // closes the inbox).
+  const bool data = d.kind == core::IpcsDeliveryKind::data;
+  (void)inbox_.push(std::move(d), data);
 }
 
 ntcs::Result<core::IpcsChannelId> TcpPort::connect(
@@ -450,19 +443,14 @@ ntcs::Status TcpPort::send(core::IpcsChannelId chan, ntcs::BytesView header,
 ntcs::Result<core::IpcsDelivery> TcpPort::recv_for(
     std::chrono::nanoseconds timeout) {
   reap(/*all=*/false);
-  ntcs::UniqueLock lk(inbox_mu_);
-  const bool got = inbox_cv_.wait_for(
-      lk, timeout, [&] { return !inbox_.empty() || inbox_closed_; });
-  if (!inbox_.empty()) {
-    core::IpcsDelivery d = std::move(inbox_.front());
-    inbox_.pop_front();
-    inbox_depth_gauge().sub(1);
-    inbox_space_cv_.notify_one();  // a blocked reader may resume
-    return d;
-  }
-  if (inbox_closed_) return ntcs::Error(ntcs::Errc::closed, "port closed");
-  (void)got;
-  return ntcs::Error(ntcs::Errc::timeout, "no delivery");
+  return inbox_.pop(std::chrono::steady_clock::now() + timeout);
+}
+
+bool TcpPort::serve(
+    const std::function<bool()>& done,
+    std::chrono::steady_clock::time_point deadline,
+    const std::function<void(core::IpcsDelivery)>& handle) {
+  return inbox_.serve(done, deadline, handle);
 }
 
 ntcs::Status TcpPort::close_channel(core::IpcsChannelId chan) {
@@ -486,11 +474,7 @@ void TcpPort::close() {
   if (closed_.exchange(true)) return;
   closing_.store(true, std::memory_order_release);
   // Release any reader blocked on a full inbox *before* reap() joins it.
-  // The empty critical section orders the closing_ store against the
-  // readers' predicate checks: any reader is then either pre-check (sees
-  // closing_) or parked (gets the notify) — no missed-wakeup window.
-  { ntcs::LockGuard lk(inbox_mu_); }
-  inbox_space_cv_.notify_all();
+  inbox_.release_producers();
   // Wake the listener, then take the listening socket away.
   if (wake_wr_ >= 0) {
     const char b = 0;
@@ -519,11 +503,7 @@ void TcpPort::close() {
     }
   }
   reap(/*all=*/true);
-  {
-    ntcs::LockGuard lk(inbox_mu_);
-    inbox_closed_ = true;
-  }
-  inbox_cv_.notify_all();
+  inbox_.close();
 }
 
 void TcpPort::reap(bool all) {

@@ -32,7 +32,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,6 +40,7 @@
 
 #include "common/annotated.h"
 #include "core/nd/backend.h"
+#include "core/nd/inbox.h"
 
 namespace ntcs::realnet {
 
@@ -123,6 +123,11 @@ class TcpPort final : public core::IpcsPort,
                     ntcs::BytesView body) override;
   ntcs::Result<core::IpcsDelivery> recv_for(
       std::chrono::nanoseconds timeout) override;
+  bool serve(
+      const std::function<bool()>& done,
+      std::chrono::steady_clock::time_point deadline,
+      const std::function<void(core::IpcsDelivery)>& handle) override;
+  void wake_waiters() override { inbox_.wake_waiters(); }
   ntcs::Status close_channel(core::IpcsChannelId chan) override;
   void close() override;
 
@@ -181,13 +186,10 @@ class TcpPort final : public core::IpcsPort,
       GUARDED_BY(mu_);
   core::IpcsChannelId next_chan_ GUARDED_BY(mu_) = 1;
 
-  // realnet.inbox: strict leaf where reader threads meet recv_for.
-  mutable ntcs::Mutex inbox_mu_{ntcs::lockrank::kRealnetInbox,
-                                "realnet.inbox"};
-  ntcs::CondVar inbox_cv_;        // consumer side: item available
-  ntcs::CondVar inbox_space_cv_;  // producer side: space freed / closing
-  std::deque<core::IpcsDelivery> inbox_ GUARDED_BY(inbox_mu_);  // bound: cfg_.inbox_capacity
-  bool inbox_closed_ GUARDED_BY(inbox_mu_) = false;
+  // realnet.inbox: strict leaf where reader threads meet the consumers
+  // (recv_for, serve); a data delivery that finds it full blocks its
+  // reader (TcpConfig::inbox_capacity).
+  core::PortInbox<core::IpcsDelivery> inbox_;
 };
 
 }  // namespace ntcs::realnet

@@ -16,18 +16,30 @@ core::IpcsDeliveryKind to_stdif(DeliveryKind k) {
   return core::IpcsDeliveryKind::closed;
 }
 
+core::IpcsDelivery to_stdif(Delivery d) {
+  core::IpcsDelivery out;
+  out.kind = to_stdif(d.kind);
+  out.chan = d.chan;
+  out.payload = std::move(d.payload);
+  out.peer_phys = std::move(d.peer_phys);
+  return out;
+}
+
 }  // namespace
 
 ntcs::Result<core::IpcsDelivery> SimnetPort::recv_for(
     std::chrono::nanoseconds timeout) {
   auto d = ep_->recv_for(timeout);
   if (!d) return d.error();
-  core::IpcsDelivery out;
-  out.kind = to_stdif(d.value().kind);
-  out.chan = d.value().chan;
-  out.payload = std::move(d.value().payload);
-  out.peer_phys = std::move(d.value().peer_phys);
-  return out;
+  return to_stdif(std::move(d.value()));
+}
+
+bool SimnetPort::serve(
+    const std::function<bool()>& done,
+    std::chrono::steady_clock::time_point deadline,
+    const std::function<void(core::IpcsDelivery)>& handle) {
+  return ep_->serve(done, deadline,
+                    [&handle](Delivery d) { handle(to_stdif(std::move(d))); });
 }
 
 ntcs::Result<std::shared_ptr<core::IpcsPort>> SimnetBackend::bind(

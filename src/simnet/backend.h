@@ -43,6 +43,13 @@ class SimnetPort final : public core::IpcsPort {
   ntcs::Result<core::IpcsDelivery> recv_for(
       std::chrono::nanoseconds timeout) override;
 
+  bool serve(
+      const std::function<bool()>& done,
+      std::chrono::steady_clock::time_point deadline,
+      const std::function<void(core::IpcsDelivery)>& handle) override;
+
+  void wake_waiters() override { ep_->wake_waiters(); }
+
   ntcs::Status close_channel(core::IpcsChannelId chan) override {
     return ep_->close_channel(chan);
   }

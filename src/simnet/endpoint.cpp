@@ -29,21 +29,29 @@ metrics::Gauge& inbox_depth_gauge() {
   }();
   return *g;
 }
+
+core::InboxConfig inbox_config() {
+  static metrics::Counter& m_shed = metrics::counter("simnet.inbox_shed");
+  core::InboxConfig c;
+  c.rank = ntcs::lockrank::kSimnetEndpoint;
+  c.name = "simnet.endpoint";
+  c.capacity = kInboxCapacity;
+  c.depth = &inbox_depth_gauge();
+  c.full = &m_shed;
+  return c;
+}
+
 }  // namespace
 
 Endpoint::Endpoint(Fabric* fabric, MachineId machine, IpcsKind kind,
                    std::string phys)
-    : fabric_(fabric), machine_(machine), kind_(kind), phys_(std::move(phys)) {}
+    : fabric_(fabric),
+      machine_(machine),
+      kind_(kind),
+      phys_(std::move(phys)),
+      inbox_(inbox_config()) {}
 
-Endpoint::~Endpoint() {
-  close();
-  // Undrained deliveries die with the endpoint; the aggregate depth gauge
-  // must not keep counting them.
-  ntcs::LockGuard lk(mu_);
-  if (!inbox_.empty()) {
-    inbox_depth_gauge().sub(static_cast<std::int64_t>(inbox_.size()));
-  }
-}
+Endpoint::~Endpoint() { close(); }
 
 ntcs::Result<ChannelId> Endpoint::connect(const std::string& dst_phys) {
   if (is_closed()) return ntcs::Error(ntcs::Errc::closed, "endpoint closed");
@@ -69,54 +77,18 @@ ntcs::Result<Delivery> Endpoint::recv_for(std::chrono::nanoseconds timeout) {
 
 ntcs::Result<Delivery> Endpoint::recv_until(
     std::optional<std::chrono::steady_clock::time_point> deadline) {
-  ntcs::UniqueLock lk(mu_);
-  for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    if (!inbox_.empty() && inbox_.top().at <= now) {
-      Delivery d = std::move(const_cast<Item&>(inbox_.top()).d);
-      inbox_.pop();
-      inbox_depth_gauge().sub(1);
-      return d;
-    }
-    if (inbox_closed_ && inbox_.empty()) {
-      return ntcs::Error(ntcs::Errc::closed, "endpoint closed");
-    }
-    // Wait until the earliest pending item is due, a new item arrives, or
-    // the caller's deadline expires.
-    auto wake = deadline;
-    if (!inbox_.empty() && (!wake || inbox_.top().at < *wake)) {
-      wake = inbox_.top().at;
-    }
-    if (wake) {
-      if (deadline && *deadline <= now && (inbox_.empty() || inbox_.top().at > now)) {
-        return ntcs::Error(ntcs::Errc::timeout, "recv timed out");
-      }
-      cv_.wait_until(lk, *wake);
-      if (deadline && std::chrono::steady_clock::now() >= *deadline) {
-        // One more poll for a just-due item before giving up.
-        const auto n2 = std::chrono::steady_clock::now();
-        if (!inbox_.empty() && inbox_.top().at <= n2) continue;
-        if (inbox_closed_ && inbox_.empty()) {
-          return ntcs::Error(ntcs::Errc::closed, "endpoint closed");
-        }
-        return ntcs::Error(ntcs::Errc::timeout, "recv timed out");
-      }
-    } else {
-      cv_.wait(lk);
-    }
-  }
+  return inbox_.pop(deadline);
 }
 
-std::optional<Delivery> Endpoint::try_recv() {
-  ntcs::LockGuard lk(mu_);
-  if (inbox_.empty() || inbox_.top().at > std::chrono::steady_clock::now()) {
-    return std::nullopt;
-  }
-  Delivery d = std::move(const_cast<Item&>(inbox_.top()).d);
-  inbox_.pop();
-  inbox_depth_gauge().sub(1);
-  return d;
+std::optional<Delivery> Endpoint::try_recv() { return inbox_.try_pop(); }
+
+bool Endpoint::serve(const std::function<bool()>& done,
+                               std::chrono::steady_clock::time_point deadline,
+                               const std::function<void(Delivery)>& handle) {
+  return inbox_.serve(done, deadline, handle);
 }
+
+void Endpoint::wake_waiters() { inbox_.wake_waiters(); }
 
 ntcs::Status Endpoint::close_channel(ChannelId chan) {
   if (is_closed()) return ntcs::Status(ntcs::Errc::closed, "endpoint closed");
@@ -125,39 +97,21 @@ ntcs::Status Endpoint::close_channel(ChannelId chan) {
 
 void Endpoint::close() { fabric_->close_endpoint(this); }
 
-bool Endpoint::is_closed() const {
-  ntcs::LockGuard lk(mu_);
-  return inbox_closed_;
-}
+bool Endpoint::is_closed() const { return inbox_.closed(); }
 
-std::size_t Endpoint::pending() const {
-  ntcs::LockGuard lk(mu_);
-  return inbox_.size();
-}
+std::size_t Endpoint::pending() const { return inbox_.size(); }
 
 void Endpoint::enqueue(Item item) {
-  {
-    ntcs::LockGuard lk(mu_);
-    if (inbox_closed_) return;  // arrived after unbind: dropped by the IPCS
-    if (item.d.kind == DeliveryKind::data && inbox_.size() >= kInboxCapacity) {
-      static metrics::Counter& m_shed = metrics::counter("simnet.inbox_shed");
-      m_shed.inc();
-      health::journal_note(health::EventKind::shed, "simnet", "inbox_shed",
-                           kInboxCapacity);
-      return;
-    }
-    inbox_.push(std::move(item));
-    inbox_depth_gauge().add(1);
+  // opened/closed control deliveries are never shed — channel lifecycle
+  // must stay exact.
+  const bool data = item.d.kind == DeliveryKind::data;
+  if (inbox_.push_at(std::move(item.d), item.at, item.seq, data) ==
+      core::PushResult::shed) {
+    health::journal_note(health::EventKind::shed, "simnet", "inbox_shed",
+                         kInboxCapacity);
   }
-  cv_.notify_all();
 }
 
-void Endpoint::close_inbox() {
-  {
-    ntcs::LockGuard lk(mu_);
-    inbox_closed_ = true;
-  }
-  cv_.notify_all();
-}
+void Endpoint::close_inbox() { inbox_.close(); }
 
 }  // namespace ntcs::simnet

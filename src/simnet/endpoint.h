@@ -18,14 +18,13 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <functional>
 #include <optional>
-#include <queue>
 #include <string>
-#include <vector>
 
-#include "common/annotated.h"
 #include "common/bytes.h"
 #include "common/error.h"
+#include "core/nd/inbox.h"
 #include "simnet/types.h"
 
 namespace ntcs::simnet {
@@ -82,6 +81,15 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
   /// Non-blocking receive.
   std::optional<Delivery> try_recv();
 
+  /// Caller-runs dispatch: the calling thread serves this inbox as a
+  /// waiter (core::PortInbox::serve) until `done()` holds or `deadline`.
+  bool serve(const std::function<bool()>& done,
+                       std::chrono::steady_clock::time_point deadline,
+                       const std::function<void(Delivery)>& handle);
+
+  /// Make every serve() waiter re-check its predicate.
+  void wake_waiters();
+
   /// Close one channel; the peer gets a `closed` delivery.
   ntcs::Status close_channel(ChannelId chan);
 
@@ -104,11 +112,6 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
     std::uint64_t seq;
     Delivery d;
   };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      return a.at > b.at || (a.at == b.at && a.seq > b.seq);
-    }
-  };
 
   void enqueue(Item item);
   void close_inbox();
@@ -120,15 +123,12 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
   IpcsKind kind_;
   std::string phys_;
 
-  // Below every Nucleus lock (the ND-Layer receives/sends under its
-  // waiter and tx locks); never nested with the fabric lock — the fabric
-  // always releases its core lock before Endpoint::enqueue.
-  mutable ntcs::Mutex mu_{ntcs::lockrank::kSimnetEndpoint, "simnet.endpoint"};
-  ntcs::CondVar cv_;
-  // bound: kInboxCapacity (endpoint.cpp) — beyond it data frames shed
-  // like wire loss; opened/closed always accepted.
-  std::priority_queue<Item, std::vector<Item>, Later> inbox_ GUARDED_BY(mu_);
-  bool inbox_closed_ GUARDED_BY(mu_) = false;
+  // simnet.endpoint: below every Nucleus lock (the ND-Layer sends under
+  // its tx lock); never nested with the fabric lock — the fabric always
+  // releases its core lock before Endpoint::enqueue. Delivers strictly by
+  // (due time, fabric sequence); beyond kInboxCapacity (endpoint.cpp)
+  // data frames shed like wire loss.
+  core::PortInbox<Delivery> inbox_;
 };
 
 }  // namespace ntcs::simnet

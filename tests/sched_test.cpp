@@ -24,6 +24,8 @@
 //     post-promotion mint re-issues a live UAdd.
 //   * PR 8 (c): a shard epoch bump that fails to purge the lease cache —
 //     a lookup after failover serves a stale-epoch lease.
+//   * Caller-runs dispatch: the last waiter to leave a port inbox skips
+//     the pump wake — a delivery still queued waits for a timeout.
 //
 // Set NTCS_WRITE_REPLAYS=1 to regenerate the fixture files from a fresh
 // exploration (they are checked in; regeneration is only needed when the
@@ -35,12 +37,14 @@
 #include <cstdlib>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/sched.h"
 #include "common/annotated.h"
 #include "common/atomic.h"
+#include "core/nd/inbox.h"
 
 namespace sc = ntcs::analysis::sched;
 using ntcs::CondVar;
@@ -293,6 +297,194 @@ void lease_scenario(bool bug) {
   }
 }
 
+// ---- caller-runs dispatch: the pump-role hand-off -------------------------
+//
+// A node's port inbox has two kinds of consumer: the pump, and threads
+// waiting in await/receive that take the pump role while the pump is idle
+// (core/nd/inbox.h). The fragment: a sender queues two deliveries of one
+// channel; the pump and two waiters consume them, both waiters until the
+// first has been processed. Every wait is untimed, so a lost wake-up is
+// a deadlock, not a delay. The properties:
+//   * every delivery is processed exactly once and in channel order, and
+//     never two at once (processing touches plain state the race detector
+//     watches — only the one-in-processing token orders those accesses);
+//   * no waiter stays blocked once its predicate holds;
+//   * no delivery stays queued after the last waiter leaves (the pump must
+//     be woken for it).
+// handoff_model mirrors PortInbox's rules in scenario-local state so the
+// seeded bug — the leaving waiter skips the pump wake — can be planted;
+// the shipped PortInbox itself runs the same fragment in
+// inbox_handoff_scenario.
+
+constexpr int kHandoffDeliveries = 2;
+// Both waiters wait for the first delivery; the second must reach the pump.
+constexpr int kHandoffTarget = 1;
+
+/// What processing a delivery does, shared by both fragments: append it
+/// to the channel's record (plain state), then publish the count the
+/// waiters' predicates read.
+struct HandoffSink {
+  sc::Var<int> last{0, "handoff.last"};  // last delivery processed
+  ntcs::Atomic<int> processed{0};
+
+  void process(int d) {
+    const int prev = last.load();
+    sc::check(d == prev + 1, "delivery processed twice or out of order");
+    last.store(d);
+    processed.fetch_add(1);
+  }
+};
+
+void handoff_model_scenario(bool bug) {
+  struct St {
+    Mutex mu{ntcs::lockrank::kSimnetEndpoint, "t.handoff.inbox"};
+    CondVar pump_cv, waiter_cv;
+    // bound: kHandoffDeliveries — the sender's whole stream
+    std::deque<int> q;
+    bool token_out = false;
+    bool pump_idle = false;
+    int waiters = 0;
+    bool closed = false;
+    HandoffSink sink;
+    Mutex done_mu{ntcs::lockrank::kBlockingQueue, "t.handoff.done"};
+    CondVar done_cv;
+    int waiters_done = 0;
+  };
+  auto st = std::make_shared<St>();
+  // Whoever makes a predicate true wakes the waiters (wake_waiters()).
+  auto processed = [st](int d) {
+    st->sink.process(d);
+    { LockGuard lk(st->mu); }
+    st->waiter_cv.notify_all();
+    LockGuard dl(st->done_mu);
+    st->done_cv.notify_all();
+  };
+  sc::spawn([st] {  // sender
+    for (int d = 1; d <= kHandoffDeliveries; ++d) {
+      LockGuard lk(st->mu);
+      st->q.push_back(d);
+      if (st->token_out) continue;
+      if (st->pump_idle && st->waiters > 0) {
+        st->waiter_cv.notify_one();
+      } else {
+        st->pump_cv.notify_one();
+      }
+    }
+  });
+  sc::spawn([st, processed] {  // pump
+    UniqueLock lk(st->mu);
+    for (;;) {
+      const bool owned = st->pump_idle && st->waiters > 0;
+      if (!st->q.empty() && !st->token_out && !owned) {
+        const int d = st->q.front();
+        st->q.pop_front();
+        st->token_out = true;
+        st->pump_idle = false;
+        lk.unlock();
+        processed(d);
+        lk.lock();
+        st->token_out = false;
+        continue;
+      }
+      if (st->closed && st->q.empty()) return;
+      if (st->q.empty()) st->pump_idle = true;
+      st->pump_cv.wait(lk);
+    }
+  });
+  for (int w = 0; w < 2; ++w) {
+    sc::spawn([st, processed, bug] {  // waiter
+      UniqueLock lk(st->mu);
+      ++st->waiters;
+      for (;;) {
+        if (st->sink.processed.load() >= kHandoffTarget) break;
+        if (!st->token_out && st->pump_idle && !st->q.empty()) {
+          const int d = st->q.front();
+          st->q.pop_front();
+          st->token_out = true;
+          lk.unlock();
+          processed(d);
+          lk.lock();
+          st->token_out = false;
+          continue;
+        }
+        st->waiter_cv.wait(lk);
+      }
+      if (--st->waiters > 0) {
+        if (!st->q.empty()) st->waiter_cv.notify_all();
+      } else if (!st->q.empty()) {
+        // Seeded bug: the last waiter leaves without handing the queued
+        // deliveries back to the pump.
+        if (!bug) st->pump_cv.notify_one();
+      }
+      lk.unlock();
+      LockGuard dl(st->done_mu);
+      ++st->waiters_done;
+      st->done_cv.notify_all();
+    });
+  }
+  // Task 0: both waiters come back, then every delivery is processed —
+  // neither may depend on a timeout — and only then the port closes.
+  {
+    UniqueLock dl(st->done_mu);
+    st->done_cv.wait(dl, [&] {
+      return st->waiters_done == 2 &&
+             st->sink.processed.load() == kHandoffDeliveries;
+    });
+  }
+  LockGuard lk(st->mu);
+  st->closed = true;
+  st->pump_cv.notify_all();
+}
+
+void inbox_handoff_scenario() {
+  struct St {
+    ntcs::core::PortInbox<int> inbox{ntcs::core::InboxConfig{
+        ntcs::lockrank::kSimnetEndpoint, "t.port.inbox"}};
+    HandoffSink sink;
+    Mutex done_mu{ntcs::lockrank::kBlockingQueue, "t.port.done"};
+    CondVar done_cv;
+    int waiters_done = 0;
+  };
+  auto st = std::make_shared<St>();
+  auto processed = [st](int d) {
+    st->sink.process(d);
+    st->inbox.wake_waiters();
+    LockGuard dl(st->done_mu);
+    st->done_cv.notify_all();
+  };
+  sc::spawn([st] {  // sender
+    for (int d = 1; d <= kHandoffDeliveries; ++d) {
+      (void)st->inbox.push(d, /*data=*/true);
+    }
+  });
+  sc::spawn([st, processed] {  // pump
+    for (;;) {
+      auto d = st->inbox.pop(std::nullopt);
+      if (!d) return;
+      processed(d.value());
+    }
+  });
+  for (int w = 0; w < 2; ++w) {
+    sc::spawn([st, processed] {  // waiter
+      const bool done = st->inbox.serve(
+          [st] { return st->sink.processed.load() >= kHandoffTarget; },
+          std::chrono::steady_clock::time_point::max(), processed);
+      sc::check(done, "waiter did not finish");
+      LockGuard dl(st->done_mu);
+      ++st->waiters_done;
+      st->done_cv.notify_all();
+    });
+  }
+  {
+    UniqueLock dl(st->done_mu);
+    st->done_cv.wait(dl, [&] {
+      return st->waiters_done == 2 &&
+             st->sink.processed.load() == kHandoffDeliveries;
+    });
+  }
+  st->inbox.close();
+}
+
 // ---- race-detector subjects ----------------------------------------------
 
 void counter_scenario(bool locked) {
@@ -456,6 +648,24 @@ TEST(SchedExplore, LeaseEpochCleanNeverServesStale) {
 TEST(SchedExplore, LeaseEpochSeededStaleServeFound) {
   expect_bug_found_and_replayable("lease_bug", [] { lease_scenario(true); },
                                   "stale-epoch lease served");
+}
+
+TEST(SchedExplore, PumpHandoffCleanDrainsAndWakes) {
+  // Five tasks on one inbox: the clean space measures ~32k schedules
+  // under preemption bound 2.
+  expect_clean("handoff_clean", [] { handoff_model_scenario(false); }, 60000);
+}
+
+TEST(SchedExplore, PumpHandoffSeededMissedPumpWakeFound) {
+  expect_bug_found_and_replayable("handoff_bug",
+                                  [] { handoff_model_scenario(true); },
+                                  "deadlock");
+}
+
+TEST(SchedExplore, PortInboxHandoffClean) {
+  // The shipped inbox has more schedule points: ~40k schedules.
+  expect_clean("inbox_handoff_clean", [] { inbox_handoff_scenario(); },
+               60000);
 }
 
 TEST(SchedRace, UnlockedCounterFlagged) {
