@@ -270,6 +270,10 @@ struct ChaosClass {
   simnet::FaultPlan plan;
 };
 
+// Without this gtest names each case by a byte dump of the struct, which
+// holds the address of `name` and so shifts whenever the binary's layout does.
+void PrintTo(const ChaosClass& c, std::ostream* os) { *os << c.name; }
+
 std::vector<ChaosClass> chaos_classes() {
   std::vector<ChaosClass> out;
   {
