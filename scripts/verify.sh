@@ -17,7 +17,8 @@
 #    the realnet half of the parameterized integration suite, normal build
 #    and TSan — real listener/reader threads over real loopback sockets.
 #    The caller-runs dispatch suite (label `dispatch`, both backends) runs
-#    with them, repeated under TSan.
+#    with them, repeated under TSan, and so does the in-place gateway
+#    relay case (GatewayRelay, both backends).
 # 7. Fabric-seed sweep: re-run the pipeline + chaos suites across 10 fixed
 #    fabric seeds (NTCS_FABRIC_SEED), normal build and TSan build. Each
 #    seed is a different deterministic fault/latency schedule; the
@@ -101,6 +102,10 @@ ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure \
   -R '/realnet' # the realnet half of the parameterized suites
 ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
   -L 'nd|realnet' --repeat until-fail:3
+# The gateway relay forwards each message in the buffer it arrived in:
+# the pump that reassembled it and the onward ND-Layer's sender share it.
+ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
+  -R 'GatewayRelay' --repeat until-fail:3
 # One at a time: the dispatch cases measure which thread processed each
 # delivery, and TSan-slowed test processes oversubscribing the CPUs
 # change that answer, not the correctness the race detector checks.

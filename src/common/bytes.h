@@ -22,6 +22,9 @@ using BytesView = std::span<const std::uint8_t>;
 /// Build a Bytes from a string (no terminator is added).
 Bytes to_bytes(std::string_view s);
 
+/// Copy a view into a Bytes of its own.
+inline Bytes to_bytes(BytesView b) { return Bytes(b.begin(), b.end()); }
+
 /// Interpret a byte buffer as text (copies).
 std::string to_string(BytesView b);
 

@@ -335,6 +335,11 @@ ntcs::Result<IvcHandle> IpLayer::open_ivc(const ResolvedDest& dst) {
 }
 
 ntcs::Status IpLayer::send(IvcHandle h, ntcs::BytesView lcm_msg) {
+  wire::Framed m = wire::framed_copy(lcm_msg, wire::kLcmHeadroom);
+  return send_framed(h, m);
+}
+
+ntcs::Status IpLayer::send_framed(IvcHandle h, wire::Framed& lcm_msg) {
   {
     ntcs::LockGuard lk(mu_);
     auto it = ivcs_.find(h);
@@ -345,7 +350,8 @@ ntcs::Status IpLayer::send(IvcHandle h, ntcs::BytesView lcm_msg) {
   const trace::TraceContext tctx =
       trace::enabled() ? trace::current() : trace::TraceContext{};
   const std::int64_t hop_start = tctx.valid() ? trace::now_ns() : 0;
-  auto st = nd_.send(h.lvc, wire::encode_ip_data(h.ivc, lcm_msg));
+  wire::push_ip_data(lcm_msg, h.ivc);
+  auto st = nd_.send_framed(h.lvc, lcm_msg);
   if (tctx.valid()) {
     // The origin's own hop onto the wire; each traversed gateway records
     // its forwarding hop in on_envelope, completing the per-hop chain.
@@ -401,14 +407,14 @@ void IpLayer::remove_relay_entry(IvcHandle h) {
   relays_.erase(h);
 }
 
-std::vector<IpEvent> IpLayer::on_nd_event(const NdEvent& ev) {
+std::vector<IpEvent> IpLayer::on_nd_event(NdEvent ev) {
   switch (ev.kind) {
     case NdEvent::Kind::opened:
       return {};
     case NdEvent::Kind::closed:
       return on_lvc_closed(ev.lvc);
     case NdEvent::Kind::message: {
-      auto env = wire::decode_ip(ev.message);
+      auto env = wire::decode_ip_view(ev.body());
       if (!env) {
         static metrics::Counter& m_decode_drops =
             metrics::counter("ip.decode_drops");
@@ -417,7 +423,7 @@ std::vector<IpEvent> IpLayer::on_nd_event(const NdEvent& ev) {
                   env.error().to_string());
         return {};
       }
-      return on_envelope(ev.lvc, env.value());
+      return on_envelope(ev.lvc, env.value(), ev.message);
     }
   }
   return {};
@@ -481,7 +487,8 @@ std::vector<IpEvent> IpLayer::on_lvc_closed(LvcId lvc) {
 }
 
 std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
-                                          const wire::IpEnvelope& env) {
+                                          const wire::IpEnvelopeView& env,
+                                          wire::Framed& msg) {
   const IvcHandle h{lvc, env.ivc};
   switch (env.kind) {
     case wire::IpKind::data: {
@@ -536,9 +543,11 @@ std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
         static metrics::Counter& m_hops =
             metrics::counter("ip.hops_forwarded");
         m_hops.inc();
+        // Relayed in place: the next hop's IVC goes into the envelope's
+        // ivc word and the same buffer goes to the onward ND-Layer.
         const std::int64_t relay_start = tw ? trace::now_ns() : 0;
-        auto st = relay.out->nd().send(
-            relay.out_h.lvc, wire::encode_ip_data(relay.out_h.ivc, env.body));
+        wire::set_ip_ivc(msg, relay.out_h.ivc);
+        auto st = relay.out->nd().send_framed(relay.out_h.lvc, msg);
         if (!st.ok()) {
           // The onward LVC refused the frame (dying circuit, backend
           // overload): the message is lost here. Never silently — count
@@ -564,7 +573,8 @@ std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
         IpEvent e;
         e.kind = IpEvent::Kind::message;
         e.via = h;
-        e.lcm_msg = env.body;
+        msg.off += wire::kIpPrologueSize;
+        e.lcm_msg = std::move(msg);
         return {std::move(e)};
       }
       // Data for an IVC this node no longer knows (raced teardown, stale

@@ -72,7 +72,8 @@ struct IpEvent {
   enum class Kind : std::uint8_t { message, ivc_closed };
   Kind kind;
   IvcHandle via;
-  ntcs::Bytes lcm_msg;  // kind == message
+  // kind == message: the received buffer, positioned at the LCM message.
+  wire::Framed lcm_msg;
 };
 
 class IpLayer;
@@ -136,15 +137,19 @@ class IpLayer {
   /// gateway workers only — never the pump).
   ntcs::Result<IvcHandle> open_ivc(const ResolvedDest& dst);
 
-  /// Send one LCM message down an established IVC. Non-blocking.
+  /// Send one LCM message down an established IVC. Non-blocking. Copies
+  /// the message once; send_framed() does not.
   ntcs::Status send(IvcHandle h, ntcs::BytesView lcm_msg);
+  /// Send the LCM message at `lcm_msg.view()`, writing the IP and ND
+  /// prologues into its headroom (build it with wire::frame_lcm).
+  ntcs::Status send_framed(IvcHandle h, wire::Framed& lcm_msg);
 
   /// Tear down an IVC (propagates along the chain).
   ntcs::Status close_ivc(IvcHandle h);
 
   /// Pump integration: translate one ND event into zero or more LCM-facing
   /// events, performing relaying and circuit management on the way.
-  std::vector<IpEvent> on_nd_event(const NdEvent& ev);
+  std::vector<IpEvent> on_nd_event(NdEvent ev);
 
   // ---- gateway support (called from Gateway worker threads) -------------
   struct ExtendWait {
@@ -221,7 +226,10 @@ class IpLayer {
 
   ntcs::Result<std::vector<GatewayRecord>> topology(bool static_only);
   std::vector<IpEvent> on_lvc_closed(LvcId lvc);
-  std::vector<IpEvent> on_envelope(LvcId lvc, const wire::IpEnvelope& env);
+  /// `env` is decoded from `msg.view()`; data is relayed or handed up in
+  /// that same buffer.
+  std::vector<IpEvent> on_envelope(LvcId lvc, const wire::IpEnvelopeView& env,
+                                   wire::Framed& msg);
   void remove_relay_entry(IvcHandle h);
 
   NdLayer& nd_;

@@ -468,7 +468,8 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
         }
       }
 
-      auto st = ip_.send(h, wire::encode_lcm(hdr, body.value()));
+      wire::Framed msg = wire::frame_lcm(hdr, body.value());
+      auto st = ip_.send_framed(h, msg);
       if (st.ok()) return h;
       last = st.error();
       if (last.code() == ntcs::Errc::too_big) return last;
@@ -943,13 +944,15 @@ ntcs::Status LcmLayer::reply(const ReplyCtx& ctx, const Payload& p) {
     trace::ContextScope tscope(ctx.trace);
     const std::int64_t reply_start = trace::now_ns();
     // Replies ride the inbound circuit; if it died the requester recovers.
-    auto st = ip_.send(ctx.via, wire::encode_lcm(hdr, body.value()));
+    wire::Framed msg = wire::frame_lcm(hdr, body.value());
+    auto st = ip_.send_framed(ctx.via, msg);
     trace::record_child(ctx.trace, "lcm", "reply", identity_->name(),
                         reply_start, trace::now_ns());
     return st;
   }
   // Replies ride the inbound circuit; if it died the requester recovers.
-  return ip_.send(ctx.via, wire::encode_lcm(hdr, body.value()));
+  wire::Framed msg = wire::frame_lcm(hdr, body.value());
+  return ip_.send_framed(ctx.via, msg);
 }
 
 ntcs::Status LcmLayer::dgram(UAdd dst, const Payload& p, SendOptions opts) {
@@ -987,17 +990,19 @@ ntcs::Result<Incoming> LcmLayer::receive(std::chrono::nanoseconds timeout) {
 bool LcmLayer::serve_inbox(const std::function<bool()>& done,
                                std::chrono::steady_clock::time_point deadline) {
   return ip_.nd().serve(done, deadline,
-                        [this](const NdEvent& ev) { upcall(ev); });
+                        [this](NdEvent ev) { upcall(std::move(ev)); });
 }
 
-void LcmLayer::upcall(const NdEvent& ev) {
-  for (IpEvent& ipev : ip_.on_nd_event(ev)) on_ip_event(std::move(ipev));
+void LcmLayer::upcall(NdEvent ev) {
+  for (IpEvent& ipev : ip_.on_nd_event(std::move(ev))) {
+    on_ip_event(std::move(ipev));
+  }
 }
 
 void LcmLayer::on_ip_event(IpEvent ev) {
   switch (ev.kind) {
     case IpEvent::Kind::message: {
-      auto decoded = wire::decode_lcm(ev.lcm_msg);
+      auto decoded = wire::decode_lcm_view(ev.lcm_msg.view());
       if (!decoded) {
         static metrics::Counter& m_decode_drops =
             metrics::counter("lcm.decode_drops");
@@ -1006,7 +1011,7 @@ void LcmLayer::on_ip_event(IpEvent ev) {
                   decoded.error().to_string());
         return;
       }
-      wire::LcmMessage& m = decoded.value();
+      const wire::LcmMessageView& m = decoded.value();
 
       // TAdd purge (§3.4): a peer that introduced itself with a TAdd is
       // re-keyed the moment a message carries its real UAdd.
@@ -1025,7 +1030,8 @@ void LcmLayer::on_ip_event(IpEvent ev) {
 
       Incoming in;
       in.src = m.header.src;
-      in.payload = std::move(m.payload);
+      // The one receive-side copy of the payload.
+      in.payload = ntcs::to_bytes(m.payload);
       in.mode = static_cast<convert::XferMode>(m.header.mode);
       in.src_arch = convert::arch_from_wire_id(m.header.src_arch)
                         .value_or(convert::Arch::vax780);
@@ -1109,14 +1115,16 @@ void LcmLayer::on_ip_event(IpEvent ev) {
             bh.mode = convert::xfer_mode_wire_id(convert::XferMode::image);
             bh.src_arch = convert::arch_wire_id(identity_->arch());
             // Counted before the send: the requester may hold its
-            // overloaded result before ip_.send() returns here, and the
-            // shed = busy-frame identity must already hold when it looks.
+            // overloaded result before ip_.send_framed() returns here, and
+            // the shed = busy-frame identity must already hold when it
+            // looks.
             // A frame lost with its circuit still counts as issued.
             static metrics::Counter& m_busy =
                 metrics::counter("lcm.busy_frames");
             m_busy.inc();
             busy_frames_.fetch_add(1, std::memory_order_relaxed);
-            (void)ip_.send(ev.via, wire::encode_lcm(bh, {}));
+            wire::Framed busy = wire::frame_lcm(bh, {});
+            (void)ip_.send_framed(ev.via, busy);
           }
           return;
         }

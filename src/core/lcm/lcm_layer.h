@@ -251,7 +251,7 @@ class LcmLayer {
   /// Run one ND event up through the IP-Layer into this layer: the body
   /// of the node's dispatch loop, shared by the pump and by threads
   /// waiting in await/receive. Never blocks.
-  void upcall(const NdEvent& ev);
+  void upcall(NdEvent ev);
 
   /// Pump integration (never blocks).
   void on_ip_event(IpEvent ev);

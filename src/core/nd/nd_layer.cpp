@@ -156,6 +156,11 @@ ntcs::Result<LvcId> NdLayer::open(const PhysAddr& dst) {
 }
 
 ntcs::Status NdLayer::send(LvcId lvc, ntcs::BytesView ip_envelope) {
+  wire::Framed m = wire::framed_copy(ip_envelope, wire::kNdPrologueSize);
+  return send_framed(lvc, m);
+}
+
+ntcs::Status NdLayer::send_framed(LvcId lvc, wire::Framed& ip_envelope) {
   if (!port_) {
     return ntcs::Status(ntcs::Errc::bad_argument, "ND-Layer not bound");
   }
@@ -171,7 +176,8 @@ ntcs::Status NdLayer::send(LvcId lvc, ntcs::BytesView ip_envelope) {
   }
   static metrics::Counter& m_sent = metrics::counter("nd.msgs_sent");
   m_sent.inc();
-  return send_frames(lvc, *tx, wire::encode_nd_payload(ip_envelope));
+  wire::push_nd_payload(ip_envelope);
+  return send_frames(lvc, *tx, ip_envelope.view());
 }
 
 ntcs::Status NdLayer::send_raw(LvcId lvc, ntcs::BytesView nd_message) {
@@ -255,7 +261,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::pump(
 
 bool NdLayer::serve(const std::function<bool()>& done,
                         std::chrono::steady_clock::time_point deadline,
-                        const std::function<void(const NdEvent&)>& upcall) {
+                        const std::function<void(NdEvent)>& upcall) {
   if (!port_) return false;
   static metrics::Counter& m_by_waiter =
       metrics::counter("nd.deliveries_by_waiter");
@@ -266,7 +272,7 @@ bool NdLayer::serve(const std::function<bool()>& done,
     m_by_waiter.inc();
     deliveries_by_waiter_.fetch_add(1, std::memory_order_relaxed);
     auto ev = handle_delivery(std::move(d));
-    if (ev && ev.value()) upcall(*ev.value());
+    if (ev && ev.value()) upcall(std::move(*ev.value()));
   });
 }
 
@@ -319,14 +325,14 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
       static metrics::Counter& m_dedup = metrics::counter("nd.frames_deduped");
       static metrics::Counter& m_resync =
           metrics::counter("nd.frames_resynced");
-      ntcs::Bytes complete;
+      wire::Framed complete;
       {
         ntcs::LockGuard lk(mu_);
         auto it = lvcs_.find(d.chan);
         if (it == lvcs_.end()) {
           return std::optional<NdEvent>{};  // stray frame after close
         }
-        auto fed = it->second.reassembler.feed(d.payload);
+        auto fed = it->second.reassembler.feed(std::move(d.payload));
         if (!fed) {
           log_.warn("dropping malformed frame: " + fed.error().to_string());
           return std::optional<NdEvent>{};
@@ -359,16 +365,16 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
           }
         }
         if (!fed.value().complete) return std::optional<NdEvent>{};
-        complete = it->second.reassembler.take();
+        complete = it->second.reassembler.take_framed();
       }
       if (trace::enabled()) {
         // Receive side has no thread-local context: peek it out of the
         // reassembled frame (ND prologue -> IP data -> LCM trace words).
-        if (auto tw = wire::peek_nd_trace(complete)) {
+        if (auto tw = wire::peek_nd_trace(complete.view())) {
           trace::record_event(
               trace::TraceContext{tw->hi, tw->lo, tw->parent}, "nd",
               "reassemble", identity_->name(),
-              static_cast<std::uint32_t>(complete.size()));
+              static_cast<std::uint32_t>(complete.view().size()));
         }
       }
       return handle_message(d.chan, std::move(complete));
@@ -378,14 +384,14 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
 }
 
 ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(LvcId lvc,
-                                                             ntcs::Bytes msg) {
-  auto decoded = wire::decode_nd(msg);
+                                                             wire::Framed msg) {
+  auto decoded = wire::decode_nd_view(msg.view());
   if (!decoded) {
     log_.warn("dropping undecodable ND message: " +
               decoded.error().to_string());
     return std::optional<NdEvent>{};
   }
-  wire::NdMessage& m = decoded.value();
+  wire::NdMessageView& m = decoded.value();
   switch (m.kind) {
     case wire::NdKind::open: {
       {
@@ -436,16 +442,15 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(LvcId lvc,
       return std::optional<NdEvent>{};
     }
     case wire::NdKind::payload: {
-      {
-        ntcs::LockGuard lk(mu_);
-        ++stats_.messages_received;
-      }
+      messages_received_.fetch_add(1, std::memory_order_relaxed);
       static metrics::Counter& m_recv = metrics::counter("nd.msgs_received");
       m_recv.inc();
       NdEvent ev;
       ev.kind = NdEvent::Kind::message;
       ev.lvc = lvc;
-      ev.message = std::move(m.body);
+      // Hand the buffer up as is, positioned at the IP envelope.
+      msg.off += wire::kNdPrologueSize;
+      ev.message = std::move(msg);
       return std::optional<NdEvent>{std::move(ev)};
     }
   }
@@ -504,6 +509,7 @@ NdLayer::Stats NdLayer::stats() const {
   }
   out.frag_copies_avoided =
       frag_copies_avoided_.load(std::memory_order_relaxed);
+  out.messages_received = messages_received_.load(std::memory_order_relaxed);
   out.deliveries_by_pump = deliveries_by_pump_.load(std::memory_order_relaxed);
   out.deliveries_by_waiter =
       deliveries_by_waiter_.load(std::memory_order_relaxed);

@@ -55,7 +55,12 @@ struct NdEvent {
   };
   Kind kind;
   LvcId lvc = 0;
-  ntcs::Bytes message;  // kind == message
+  // kind == message: the reassembled buffer, positioned past the ND
+  // prologue (the IP-Layer decodes and relays it in place).
+  wire::Framed message;
+
+  /// The IP envelope (kind == message).
+  ntcs::BytesView body() const { return message.view(); }
 };
 
 /// Cached per-peer information from the channel-open exchange.
@@ -96,8 +101,11 @@ class NdLayer {
   ntcs::Result<LvcId> open(const PhysAddr& dst);
 
   /// Send one message (fragmenting to the IPCS MTU). Thread-safe,
-  /// non-blocking.
+  /// non-blocking. Copies the envelope once; send_framed() does not.
   ntcs::Status send(LvcId lvc, ntcs::BytesView ip_envelope);
+  /// Send the IP envelope at `ip_envelope.view()`, writing the ND prologue
+  /// into its headroom: the frames are views of that one buffer.
+  ntcs::Status send_framed(LvcId lvc, wire::Framed& ip_envelope);
 
   /// Close an LVC; the peer sees an NdEvent::closed.
   ntcs::Status close(LvcId lvc);
@@ -118,7 +126,7 @@ class NdLayer {
   /// Returns whether `done()` held (false also when there is no port).
   bool serve(const std::function<bool()>& done,
                  std::chrono::steady_clock::time_point deadline,
-                 const std::function<void(const NdEvent&)>& upcall);
+                 const std::function<void(NdEvent)>& upcall);
 
   /// Make every serve() waiter re-check its predicate (IpcsPort).
   void wake_waiters();
@@ -194,7 +202,7 @@ class NdLayer {
 
   ntcs::Result<std::optional<NdEvent>> handle_delivery(IpcsDelivery d);
   ntcs::Result<std::optional<NdEvent>> handle_message(LvcId lvc,
-                                                      ntcs::Bytes msg);
+                                                      wire::Framed msg);
   ntcs::Status send_raw(LvcId lvc, ntcs::BytesView nd_message);
   /// Fragment and transmit under the circuit's tx lock.
   ntcs::Status send_frames(LvcId lvc, TxState& tx, ntcs::BytesView nd_message);
@@ -217,9 +225,10 @@ class NdLayer {
       GUARDED_BY(mu_);
   std::unordered_map<UAdd, PhysAddr> phys_cache_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
-  // sync: relaxed per-node counters bumped outside nd.state on the send
-  // and dispatch hot paths; stats() folds them into Stats.
+  // sync: relaxed per-node counters bumped outside nd.state on the send,
+  // receive and dispatch hot paths; stats() folds them into Stats.
   std::atomic<std::uint64_t> frag_copies_avoided_{0};
+  std::atomic<std::uint64_t> messages_received_{0};     // sync: as above
   std::atomic<std::uint64_t> deliveries_by_pump_{0};    // sync: as above
   std::atomic<std::uint64_t> deliveries_by_waiter_{0};  // sync: as above
 };

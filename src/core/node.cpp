@@ -63,7 +63,8 @@ void Node::pump_main(const std::stop_token& st) {
       if (ev.code() == ntcs::Errc::timeout) continue;
       break;  // endpoint closed: module is going away
     }
-    if (ev.value()) lcm_.upcall(*ev.value());  // else internal to ND
+    // An empty event was internal to the ND-Layer.
+    if (ev.value()) lcm_.upcall(std::move(*ev.value()));
   }
 }
 

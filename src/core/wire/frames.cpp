@@ -28,17 +28,103 @@ ntcs::Result<std::string> get_string(ShiftReader& r) {
   return r.get_raw_string(len.value());
 }
 
+/// LCM header layout: kind(4) flags(4) src(8) dst(8) req_id(4) mode(4)
+/// src_arch(4) = 36 bytes, then the three trace words when traced.
+constexpr std::size_t kLcmFlagsOff = 4;
+constexpr std::size_t kLcmHeaderMin = 36;
+constexpr std::size_t kLcmTraceSize = 24;
+
+/// Shift mode written at a fixed position (MSB first, a u64 as two words
+/// high first): ShiftWriter's stream layout, for headers built in place.
+std::uint8_t* put32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+  return p + 4;
+}
+
+std::uint8_t* put64(std::uint8_t* p, std::uint64_t v) {
+  return put32(put32(p, static_cast<std::uint32_t>(v >> 32)),
+               static_cast<std::uint32_t>(v));
+}
+
 /// Common prologue of every ND message.
+void write_nd_prologue(std::uint8_t* p, NdKind kind) {
+  put32(put32(put32(p, kMagic), kVersion), static_cast<std::uint32_t>(kind));
+}
+
 ntcs::Bytes nd_prologue(NdKind kind) {
-  ntcs::Bytes out;
-  ShiftWriter w(out);
-  w.put_u32(kMagic);
-  w.put_u32(kVersion);
-  w.put_u32(static_cast<std::uint32_t>(kind));
+  ntcs::Bytes out(kNdPrologueSize);
+  write_nd_prologue(out.data(), kind);
   return out;
 }
 
+void write_ip_prologue(std::uint8_t* p, IpKind kind, std::uint64_t ivc) {
+  put64(put32(p, static_cast<std::uint32_t>(kind)), ivc);
+}
+
+ntcs::Bytes ip_prologue(IpKind kind, std::uint64_t ivc) {
+  ntcs::Bytes out(kIpPrologueSize);
+  write_ip_prologue(out.data(), kind, ivc);
+  return out;
+}
+
+std::size_t lcm_header_size(const LcmHeader& h) {
+  return (h.flags & kLcmFlagTraced) != 0 ? kLcmHeaderMin + kLcmTraceSize
+                                         : kLcmHeaderMin;
+}
+
+void write_lcm_header(std::uint8_t* p, const LcmHeader& h) {
+  p = put32(p, static_cast<std::uint32_t>(h.kind));
+  p = put32(p, h.flags);
+  p = put64(p, h.src.raw());
+  p = put64(p, h.dst.raw());
+  p = put32(p, h.req_id);
+  p = put32(p, h.mode);
+  p = put32(p, h.src_arch);
+  if ((h.flags & kLcmFlagTraced) != 0) {
+    p = put64(p, h.trace_hi);
+    p = put64(p, h.trace_lo);
+    put64(p, h.trace_parent);
+  }
+}
+
+/// An LCM message behind `headroom` free bytes.
+Framed build_lcm(const LcmHeader& h, ntcs::BytesView payload,
+                 std::size_t headroom) {
+  // Every NTCS header travels shift-encoded (§5.2); count it so the
+  // convert.mode.* breakdown covers all three modes.
+  convert::note_mode(convert::XferMode::shift);
+  Framed m = framed_copy(payload, headroom + lcm_header_size(h));
+  m.off = headroom;
+  write_lcm_header(m.buf.data() + headroom, h);
+  return m;
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------- framed
+
+std::uint8_t* Framed::push_front(std::size_t n) {
+  if (off < n) {
+    // Short headroom: move the message back once, leaving exactly `n`.
+    const std::size_t grow = n - off;
+    buf.insert(buf.begin(), grow, 0);
+    off += grow;
+  }
+  off -= n;
+  return buf.data() + off;
+}
+
+Framed framed_copy(ntcs::BytesView msg, std::size_t headroom) {
+  Framed m;
+  m.buf.reserve(headroom + msg.size());
+  m.buf.resize(headroom);
+  ntcs::append(m.buf, msg);
+  m.off = headroom;
+  return m;
+}
 
 // ---------------------------------------------------------------- fragments
 
@@ -58,16 +144,9 @@ std::uint32_t frag_seq(std::uint32_t word) { return (word >> 24) & kFragSeqMask;
 
 std::size_t encode_frag_header(const FragSpan& s,
                                std::uint8_t out[kFragHeaderMax]) {
-  // Shift mode by hand (MSB first), matching ShiftWriter's stream layout.
-  out[0] = static_cast<std::uint8_t>(s.word >> 24);
-  out[1] = static_cast<std::uint8_t>(s.word >> 16);
-  out[2] = static_cast<std::uint8_t>(s.word >> 8);
-  out[3] = static_cast<std::uint8_t>(s.word);
+  std::uint8_t* p = put32(out, s.word);
   if (!s.first) return 4;
-  out[4] = static_cast<std::uint8_t>(s.total >> 24);
-  out[5] = static_cast<std::uint8_t>(s.total >> 16);
-  out[6] = static_cast<std::uint8_t>(s.total >> 8);
-  out[7] = static_cast<std::uint8_t>(s.total);
+  put32(p, s.total);
   return 8;
 }
 
@@ -117,6 +196,21 @@ std::vector<ntcs::Bytes> fragment(ntcs::BytesView msg, std::size_t mtu) {
 }
 
 ntcs::Result<Reassembler::FeedResult> Reassembler::feed(ntcs::BytesView frame) {
+  return feed_impl(frame, nullptr);
+}
+
+ntcs::Result<Reassembler::FeedResult> Reassembler::feed(ntcs::Bytes&& frame) {
+  return feed_impl(frame, &frame);
+}
+
+void Reassembler::discard() {
+  acc_.clear();
+  acc_off_ = 0;
+  have_head_ = false;
+}
+
+ntcs::Result<Reassembler::FeedResult> Reassembler::feed_impl(
+    ntcs::BytesView frame, ntcs::Bytes* owned) {
   ShiftReader r(frame);
   auto word = r.get_u32();
   if (!word) return word.error();
@@ -147,24 +241,32 @@ ntcs::Result<Reassembler::FeedResult> Reassembler::feed(ntcs::BytesView frame) {
   if (dist != 1) {
     // Frames went missing (lost, or overtaken and due to arrive stale):
     // whatever message they belonged to is unrecoverable. Resynchronise.
-    acc_.clear();
-    have_head_ = false;
+    discard();
     res.resynced = true;
   }
   last_seq_ = seq;
+  bool adopted = false;
   if (first) {
     if (have_head_ || !acc_.empty()) {
       // The sender started a new message while we held a partial one —
       // its tail frames were lost without leaving a sequence gap we could
       // see (e.g. lost then resent range). The partial message is gone.
-      acc_.clear();
+      discard();
       res.resynced = true;
     }
     have_head_ = true;
     expect_total_ = total;
-    // The whole message's storage, reserved once; every chunk after this
-    // appends in place.
-    acc_.reserve(total < kMaxReserve ? total : kMaxReserve);
+    if (owned != nullptr && !frag_more(word.value())) {
+      // The whole message is in this frame: keep the delivered buffer and
+      // skip its header instead of copying the chunk out.
+      acc_off_ = r.offset();
+      acc_ = std::move(*owned);
+      adopted = true;
+    } else {
+      // The whole message's storage, reserved once; every chunk after
+      // this appends in place.
+      acc_.reserve(total < kMaxReserve ? total : kMaxReserve);
+    }
   } else if (!have_head_) {
     // Continuation of a message whose first frame we never accepted (it
     // was lost ahead of the resync point). The frame is sequence-valid —
@@ -172,14 +274,13 @@ ntcs::Result<Reassembler::FeedResult> Reassembler::feed(ntcs::BytesView frame) {
     res.orphan = true;
     return res;
   }
-  ntcs::append(acc_, r.rest());
+  if (!adopted) ntcs::append(acc_, r.rest());
   if (!frag_more(word.value())) {
-    if (acc_.size() != expect_total_) {
+    if (pending_bytes() != expect_total_) {
       // Header corruption slipped past the length checks (a flipped bit
       // in a chunk-length or total-length field): the message cannot be
       // trusted. Drop it and restart cleanly at the next first frame.
-      acc_.clear();
-      have_head_ = false;
+      discard();
       res.resynced = true;
       return res;
     }
@@ -188,12 +289,20 @@ ntcs::Result<Reassembler::FeedResult> Reassembler::feed(ntcs::BytesView frame) {
   return res;
 }
 
-ntcs::Bytes Reassembler::take() {
-  ntcs::Bytes out;
-  out.swap(acc_);
+Framed Reassembler::take_framed() {
+  Framed out{std::move(acc_), acc_off_};
+  acc_ = ntcs::Bytes{};
+  acc_off_ = 0;
   have_head_ = false;
   expect_total_ = 0;
   return out;
+}
+
+ntcs::Bytes Reassembler::take() {
+  Framed m = take_framed();
+  m.buf.erase(m.buf.begin(),
+              m.buf.begin() + static_cast<std::ptrdiff_t>(m.off));
+  return std::move(m.buf);
 }
 
 // ---------------------------------------------------------------- ND layer
@@ -216,13 +325,16 @@ ntcs::Bytes encode_nd_open_ack(const NdOpenAck& m) {
 }
 
 ntcs::Bytes encode_nd_payload(ntcs::BytesView ip_envelope) {
-  ntcs::Bytes out = nd_prologue(NdKind::payload);
-  out.reserve(out.size() + ip_envelope.size());
-  ntcs::append(out, ip_envelope);
-  return out;
+  Framed m = framed_copy(ip_envelope, kNdPrologueSize);
+  push_nd_payload(m);
+  return std::move(m.buf);
 }
 
-ntcs::Result<NdMessage> decode_nd(ntcs::BytesView msg) {
+void push_nd_payload(Framed& m) {
+  write_nd_prologue(m.push_front(kNdPrologueSize), NdKind::payload);
+}
+
+ntcs::Result<NdMessageView> decode_nd_view(ntcs::BytesView msg) {
   ShiftReader r(msg);
   auto magic = r.get_u32();
   if (!magic) return magic.error();
@@ -237,7 +349,7 @@ ntcs::Result<NdMessage> decode_nd(ntcs::BytesView msg) {
   auto kind = r.get_u32();
   if (!kind) return kind.error();
 
-  NdMessage out;
+  NdMessageView out;
   switch (static_cast<NdKind>(kind.value())) {
     case NdKind::open: {
       out.kind = NdKind::open;
@@ -264,7 +376,7 @@ ntcs::Result<NdMessage> decode_nd(ntcs::BytesView msg) {
     }
     case NdKind::payload: {
       out.kind = NdKind::payload;
-      out.body = ntcs::Bytes(r.rest().begin(), r.rest().end());
+      out.body = r.rest();
       return out;
     }
     default:
@@ -272,25 +384,27 @@ ntcs::Result<NdMessage> decode_nd(ntcs::BytesView msg) {
   }
 }
 
-// ---------------------------------------------------------------- IP layer
-
-namespace {
-
-ntcs::Bytes ip_prologue(IpKind kind, std::uint64_t ivc) {
-  ntcs::Bytes out;
-  ShiftWriter w(out);
-  w.put_u32(static_cast<std::uint32_t>(kind));
-  w.put_u64(ivc);
-  return out;
+ntcs::Result<NdMessage> decode_nd(ntcs::BytesView msg) {
+  auto v = decode_nd_view(msg);
+  if (!v) return v.error();
+  NdMessageView& m = v.value();
+  return NdMessage{m.kind, std::move(m.open), m.ack, ntcs::to_bytes(m.body)};
 }
 
-}  // namespace
+// ---------------------------------------------------------------- IP layer
 
 ntcs::Bytes encode_ip_data(std::uint64_t ivc, ntcs::BytesView lcm_msg) {
-  ntcs::Bytes out = ip_prologue(IpKind::data, ivc);
-  out.reserve(out.size() + lcm_msg.size());
-  ntcs::append(out, lcm_msg);
-  return out;
+  Framed m = framed_copy(lcm_msg, kIpPrologueSize);
+  push_ip_data(m, ivc);
+  return std::move(m.buf);
+}
+
+void push_ip_data(Framed& m, std::uint64_t ivc) {
+  write_ip_prologue(m.push_front(kIpPrologueSize), IpKind::data, ivc);
+}
+
+void set_ip_ivc(Framed& m, std::uint64_t ivc) {
+  put64(m.buf.data() + m.off + 4, ivc);  // after the kind word
 }
 
 ntcs::Bytes encode_ip_extend(std::uint64_t ivc, const ExtendBody& b) {
@@ -322,19 +436,19 @@ ntcs::Bytes encode_ip_teardown(std::uint64_t ivc) {
   return ip_prologue(IpKind::teardown, ivc);
 }
 
-ntcs::Result<IpEnvelope> decode_ip(ntcs::BytesView envelope) {
+ntcs::Result<IpEnvelopeView> decode_ip_view(ntcs::BytesView envelope) {
   ShiftReader r(envelope);
   auto kind = r.get_u32();
   if (!kind) return kind.error();
   auto ivc = r.get_u64();
   if (!ivc) return ivc.error();
 
-  IpEnvelope out;
+  IpEnvelopeView out;
   out.ivc = ivc.value();
   switch (static_cast<IpKind>(kind.value())) {
     case IpKind::data:
       out.kind = IpKind::data;
-      out.body = ntcs::Bytes(r.rest().begin(), r.rest().end());
+      out.body = r.rest();
       return out;
     case IpKind::extend: {
       out.kind = IpKind::extend;
@@ -379,33 +493,27 @@ ntcs::Result<IpEnvelope> decode_ip(ntcs::BytesView envelope) {
   }
 }
 
+ntcs::Result<IpEnvelope> decode_ip(ntcs::BytesView envelope) {
+  auto v = decode_ip_view(envelope);
+  if (!v) return v.error();
+  IpEnvelopeView& m = v.value();
+  return IpEnvelope{m.kind, m.ivc, std::move(m.extend), m.errc,
+                    std::move(m.text), ntcs::to_bytes(m.body)};
+}
+
 // ---------------------------------------------------------------- LCM layer
 
 ntcs::Bytes encode_lcm(const LcmHeader& h, ntcs::BytesView payload) {
-  // Every NTCS header travels shift-encoded (§5.2); count it so the
-  // convert.mode.* breakdown covers all three modes.
-  convert::note_mode(convert::XferMode::shift);
-  ntcs::Bytes out;
-  ShiftWriter w(out);
-  w.put_u32(static_cast<std::uint32_t>(h.kind));
-  w.put_u32(h.flags);
-  w.put_u64(h.src.raw());
-  w.put_u64(h.dst.raw());
-  w.put_u32(h.req_id);
-  w.put_u32(h.mode);
-  w.put_u32(h.src_arch);
-  if ((h.flags & kLcmFlagTraced) != 0) {
-    w.put_u64(h.trace_hi);
-    w.put_u64(h.trace_lo);
-    w.put_u64(h.trace_parent);
-  }
-  w.put_raw(payload);
-  return out;
+  return std::move(build_lcm(h, payload, 0).buf);
 }
 
-ntcs::Result<LcmMessage> decode_lcm(ntcs::BytesView msg) {
+Framed frame_lcm(const LcmHeader& h, ntcs::BytesView payload) {
+  return build_lcm(h, payload, kLcmHeadroom);
+}
+
+ntcs::Result<LcmMessageView> decode_lcm_view(ntcs::BytesView msg) {
   ShiftReader r(msg);
-  LcmMessage out;
+  LcmMessageView out;
   auto kind = r.get_u32();
   if (!kind) return kind.error();
   if (kind.value() < 1 || kind.value() > 4) {
@@ -441,20 +549,22 @@ ntcs::Result<LcmMessage> decode_lcm(ntcs::BytesView msg) {
     if (!parent) return parent.error();
     out.header.trace_parent = parent.value();
   }
-  out.payload = ntcs::Bytes(r.rest().begin(), r.rest().end());
+  out.payload = r.rest();
   return out;
 }
 
+ntcs::Result<LcmMessage> decode_lcm(ntcs::BytesView msg) {
+  auto v = decode_lcm_view(msg);
+  if (!v) return v.error();
+  return LcmMessage{v.value().header, ntcs::to_bytes(v.value().payload)};
+}
+
 std::optional<LcmTraceWords> peek_lcm_trace(ntcs::BytesView lcm_msg) {
-  // Fixed shift-mode layout: kind(4) flags(4) src(8) dst(8) req_id(4)
-  // mode(4) src_arch(4) = 36 bytes, then the three trace words.
-  constexpr std::size_t kFlagsOff = 4;
-  constexpr std::size_t kTraceOff = 36;
-  if (lcm_msg.size() < kTraceOff + 24) return std::nullopt;
-  ShiftReader fr(lcm_msg.subspan(kFlagsOff));
+  if (lcm_msg.size() < kLcmHeaderMin + kLcmTraceSize) return std::nullopt;
+  ShiftReader fr(lcm_msg.subspan(kLcmFlagsOff));
   auto flags = fr.get_u32();
   if (!flags || (flags.value() & kLcmFlagTraced) == 0) return std::nullopt;
-  ShiftReader tr(lcm_msg.subspan(kTraceOff));
+  ShiftReader tr(lcm_msg.subspan(kLcmHeaderMin));
   LcmTraceWords w;
   auto hi = tr.get_u64();
   auto lo = tr.get_u64();
@@ -468,23 +578,18 @@ std::optional<LcmTraceWords> peek_lcm_trace(ntcs::BytesView lcm_msg) {
 }
 
 std::optional<std::uint32_t> peek_lcm_flags(ntcs::BytesView lcm_msg) {
-  // Fixed shift-mode layout: kind(4), then the flags word. 36 bytes is the
-  // smallest (untraced) complete header; anything shorter is not LCM.
-  constexpr std::size_t kFlagsOff = 4;
-  constexpr std::size_t kHeaderMin = 36;
-  if (lcm_msg.size() < kHeaderMin) return std::nullopt;
-  ShiftReader fr(lcm_msg.subspan(kFlagsOff));
+  // The smallest (untraced) complete header is kLcmHeaderMin bytes;
+  // anything shorter is not LCM.
+  if (lcm_msg.size() < kLcmHeaderMin) return std::nullopt;
+  ShiftReader fr(lcm_msg.subspan(kLcmFlagsOff));
   auto flags = fr.get_u32();
   if (!flags) return std::nullopt;
   return flags.value();
 }
 
 std::optional<LcmTraceWords> peek_nd_trace(ntcs::BytesView nd_msg) {
-  // ND prologue: magic(4) version(4) kind(4); IP data envelope: kind(4)
-  // ivc(8); the LCM message starts at byte 24.
-  constexpr std::size_t kNdPrologue = 12;
-  constexpr std::size_t kIpPrologue = 12;
-  if (nd_msg.size() < kNdPrologue + kIpPrologue) return std::nullopt;
+  // The LCM message starts after the ND and IP prologues.
+  if (nd_msg.size() < kLcmHeadroom) return std::nullopt;
   ShiftReader nr(nd_msg);
   auto magic = nr.get_u32();
   auto version = nr.get_u32();

@@ -21,6 +21,14 @@
 //     extend fail : body = [errc][text]
 //     teardown    : body = empty
 //   LCM message  = [lcm kind][flags][src][dst][req id][mode][src arch][payload]
+//
+// One buffer per message: a data message is built once by the LCM-Layer
+// with room in front for the IP and ND prologues, which those layers then
+// write in place (Framed, frame_lcm, push_ip_data, push_nd_payload). On
+// receive the reassembled buffer travels upward with an offset, and the
+// *_view decoders hand out views into it. The Bytes-returning encoders and
+// copying decoders below are thin wrappers over the same writers and view
+// decoders.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +44,33 @@ namespace ntcs::core::wire {
 
 inline constexpr std::uint32_t kMagic = 0x4E544353;  // "NTCS"
 inline constexpr std::uint32_t kVersion = 1;
+
+/// Fixed prologue sizes of the two envelopes around every LCM message:
+/// ND [magic][version][kind], IP [kind][ivc].
+inline constexpr std::size_t kNdPrologueSize = 12;
+inline constexpr std::size_t kIpPrologueSize = 12;
+/// Headroom an LCM message is built with, so the IP- and ND-Layers can
+/// each write their prologue in front of it without moving it.
+inline constexpr std::size_t kLcmHeadroom = kNdPrologueSize + kIpPrologueSize;
+
+/// One message in one buffer. `buf[off..]` is the message as the layer
+/// holding it sees it. `buf[..off)` is headroom: free space for the outer
+/// prologues on the send side, the outer layers' consumed headers on the
+/// receive side. Layers move `off` instead of copying the message.
+struct Framed {
+  ntcs::Bytes buf;
+  std::size_t off = 0;
+
+  ntcs::BytesView view() const { return ntcs::BytesView(buf).subspan(off); }
+  /// Claim `n` bytes in front of the message (the caller writes its
+  /// prologue there). Grows the headroom, moving the message once, only
+  /// when it is short.
+  std::uint8_t* push_front(std::size_t n);
+};
+
+/// Copy an encoded message behind `headroom` free bytes: the entry for
+/// callers that hold only a view.
+Framed framed_copy(ntcs::BytesView msg, std::size_t headroom);
 
 // ---------------------------------------------------------------- fragments
 
@@ -121,14 +156,25 @@ class Reassembler {
   /// Feed one IPCS frame. Errors indicate a malformed frame (protocol
   /// violation); fault-induced anomalies come back in the FeedResult.
   ntcs::Result<FeedResult> feed(ntcs::BytesView frame);
+  /// Same rules for a frame the caller owns: a frame that carries a whole
+  /// message is adopted as the message's buffer instead of copied.
+  ntcs::Result<FeedResult> feed(ntcs::Bytes&& frame);
 
-  /// The completed message after feed() reported complete.
+  /// The completed message after feed() reported complete, in the buffer
+  /// it was reassembled in (an adopted frame's header is skipped by `off`).
+  Framed take_framed();
+  /// The same message in a buffer of its own.
   ntcs::Bytes take();
 
-  std::size_t pending_bytes() const { return acc_.size(); }
+  std::size_t pending_bytes() const { return acc_.size() - acc_off_; }
 
  private:
+  ntcs::Result<FeedResult> feed_impl(ntcs::BytesView frame,
+                                     ntcs::Bytes* owned);
+  void discard();
+
   ntcs::Bytes acc_;
+  std::size_t acc_off_ = 0;        // frame header of an adopted frame
   bool have_head_ = false;         // saw the current message's first frame
   std::uint32_t expect_total_ = 0; // its announced total length
   // Last accepted sequence number; initialised so the first frame (seq 0)
@@ -147,27 +193,36 @@ enum class NdKind : std::uint32_t {
 /// Channel-open exchange (§3.3): "information exchanged between modules
 /// during the channel open protocol ... is then locally cached".
 struct NdOpen {
-  UAdd src_uadd;           // may be a TAdd during bootstrap (§3.4)
-  std::uint32_t src_arch;  // convert::arch_wire_id
-  std::string src_phys;    // so the acceptor can cache UAdd -> phys
+  UAdd src_uadd;               // may be a TAdd during bootstrap (§3.4)
+  std::uint32_t src_arch = 0;  // convert::arch_wire_id
+  std::string src_phys;        // so the acceptor can cache UAdd -> phys
 };
 
 struct NdOpenAck {
   UAdd uadd;  // acceptor's UAdd (or TAdd)
-  std::uint32_t arch;
+  std::uint32_t arch = 0;
 };
 
 ntcs::Bytes encode_nd_open(const NdOpen& m);
 ntcs::Bytes encode_nd_open_ack(const NdOpenAck& m);
 ntcs::Bytes encode_nd_payload(ntcs::BytesView ip_envelope);
+/// Write the ND payload prologue into the headroom: the IP envelope at
+/// m.view() becomes an ND message.
+void push_nd_payload(Framed& m);
 
-struct NdMessage {
-  NdKind kind;
+/// A decoded ND message; `Body` is Bytes (owning) or BytesView (into the
+/// decoded buffer).
+template <class Body>
+struct BasicNdMessage {
+  NdKind kind = NdKind::payload;
   NdOpen open;        // when kind == open
   NdOpenAck ack;      // when kind == open_ack
-  ntcs::Bytes body;   // when kind == payload: the IP envelope
+  Body body;          // when kind == payload: the IP envelope
 };
+using NdMessage = BasicNdMessage<ntcs::Bytes>;
+using NdMessageView = BasicNdMessage<ntcs::BytesView>;
 
+ntcs::Result<NdMessageView> decode_nd_view(ntcs::BytesView msg);
 ntcs::Result<NdMessage> decode_nd(ntcs::BytesView msg);
 
 // ---------------------------------------------------------------- IP layer
@@ -193,22 +248,32 @@ struct ExtendBody {
   std::vector<RouteHop> route;  // remaining hops, front is next
 };
 
-struct IpEnvelope {
+template <class Body>
+struct BasicIpEnvelope {
   IpKind kind = IpKind::data;
   std::uint64_t ivc = 0;
   ExtendBody extend;       // kind == extend
   std::uint32_t errc = 0;  // kind == extend_fail
   std::string text;        // kind == extend_fail
-  ntcs::Bytes body;        // kind == data: the LCM message
+  Body body;               // kind == data: the LCM message
 };
+using IpEnvelope = BasicIpEnvelope<ntcs::Bytes>;
+using IpEnvelopeView = BasicIpEnvelope<ntcs::BytesView>;
 
 ntcs::Bytes encode_ip_data(std::uint64_t ivc, ntcs::BytesView lcm_msg);
+/// Write the IP data prologue into the headroom: the LCM message at
+/// m.view() becomes an IP data envelope.
+void push_ip_data(Framed& m, std::uint64_t ivc);
+/// Rewrite the circuit id of the IP envelope at m.view() in place (the
+/// gateway relay: same bytes onward, the next hop's IVC).
+void set_ip_ivc(Framed& m, std::uint64_t ivc);
 ntcs::Bytes encode_ip_extend(std::uint64_t ivc, const ExtendBody& b);
 ntcs::Bytes encode_ip_extend_ok(std::uint64_t ivc);
 ntcs::Bytes encode_ip_extend_fail(std::uint64_t ivc, std::uint32_t errc,
                                   const std::string& text);
 ntcs::Bytes encode_ip_teardown(std::uint64_t ivc);
 
+ntcs::Result<IpEnvelopeView> decode_ip_view(ntcs::BytesView envelope);
 ntcs::Result<IpEnvelope> decode_ip(ntcs::BytesView envelope);
 
 // ---------------------------------------------------------------- LCM layer
@@ -251,12 +316,19 @@ struct LcmHeader {
 };
 
 ntcs::Bytes encode_lcm(const LcmHeader& h, ntcs::BytesView payload);
+/// The same message built with kLcmHeadroom in front: the one copy of the
+/// payload on the send path.
+Framed frame_lcm(const LcmHeader& h, ntcs::BytesView payload);
 
-struct LcmMessage {
+template <class Body>
+struct BasicLcmMessage {
   LcmHeader header;
-  ntcs::Bytes payload;
+  Body payload;
 };
+using LcmMessage = BasicLcmMessage<ntcs::Bytes>;
+using LcmMessageView = BasicLcmMessage<ntcs::BytesView>;
 
+ntcs::Result<LcmMessageView> decode_lcm_view(ntcs::BytesView msg);
 ntcs::Result<LcmMessage> decode_lcm(ntcs::BytesView msg);
 
 /// The trace words of an LCM message, read without decoding the payload.

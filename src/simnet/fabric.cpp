@@ -440,10 +440,14 @@ ntcs::Status Fabric::send_impl(Endpoint* src, ChannelId chan,
       m_dup().inc();
     }
   }
-  peer->enqueue({deliver_at, seq,
-                 Delivery{DeliveryKind::data, chan, payload, {}}});
   if (dup_at) {
+    // Only a fault-plan duplicate needs a second buffer.
+    peer->enqueue({deliver_at, seq,
+                   Delivery{DeliveryKind::data, chan, payload, {}}});
     peer->enqueue({*dup_at, dup_seq,
+                   Delivery{DeliveryKind::data, chan, std::move(payload), {}}});
+  } else {
+    peer->enqueue({deliver_at, seq,
                    Delivery{DeliveryKind::data, chan, std::move(payload), {}}});
   }
   return ntcs::Status::success();

@@ -8,6 +8,8 @@
 
 #include <thread>
 
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "core/testbed.h"
 
 namespace ntcs::core {
@@ -251,6 +253,84 @@ TEST_P(TwoLansTest, GatewayRelaysData) {
     relayed += rig.tb.gateway(0).attachment(i).ip().stats().messages_relayed;
   }
   EXPECT_GT(relayed, 0u);
+}
+
+/// The gateway relay forwards a data message in the buffer it arrived in,
+/// with the next hop's IVC written over the old one. Large multi-frame
+/// payloads must still cross byte-exact with tracing on (the longer traced
+/// LCM header) and fairness metering set (the relay peeks the LCM flags),
+/// and the hop counter must see each relayed message exactly once.
+class GatewayRelay : public ::testing::TestWithParam<Substrate> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, GatewayRelay,
+                         ::testing::Values(Substrate::simnet,
+                                           Substrate::realnet),
+                         substrate_param_name);
+
+TEST_P(GatewayRelay, LargePayloadsCrossInPlaceAndCountOnce) {
+  TwoLans rig(GetParam());
+  Gateway& gw = rig.tb.gateway(0);
+  for (std::size_t i = 0; i < gw.attachment_count(); ++i) {
+    gw.attachment(i).ip().set_relay_fair_rate(1'000'000);
+  }
+  const auto relayed = [&] {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < gw.attachment_count(); ++i) {
+      n += gw.attachment(i).ip().stats().messages_relayed;
+    }
+    return n;
+  };
+  metrics::Counter& hops = metrics::counter("ip.hops_forwarded");
+  metrics::Counter& fair_drops = metrics::counter("gw.fairness_drops");
+  metrics::Counter& relay_drops = metrics::counter("ip.relay_drops");
+  std::vector<Bytes> payloads;
+  for (const std::size_t n : {std::size_t{16 * 1024}, std::size_t{64 * 1024}}) {
+    Bytes p(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      p[i] = static_cast<std::uint8_t>(i * 131 + n);
+    }
+    payloads.push_back(std::move(p));
+  }
+  auto addr = rig.host->commod().locate("server").value();
+
+  trace::set_sampling(trace::SampleMode::always);
+  const std::uint64_t hops0 = hops.value();
+  const std::uint64_t relayed0 = relayed();
+  const std::uint64_t fair0 = fair_drops.value();
+  const std::uint64_t drops0 = relay_drops.value();
+  for (const Bytes& p : payloads) {
+    ASSERT_TRUE(rig.host->commod().send(addr, p).ok());
+    auto in = rig.server->commod().receive(5s);
+    ASSERT_TRUE(in.ok());
+    EXPECT_EQ(in.value().payload, p);
+    EXPECT_TRUE(in.value().trace.valid());
+  }
+  EXPECT_EQ(hops.value() - hops0, payloads.size());
+  EXPECT_EQ(relayed() - relayed0, payloads.size());
+
+  // Request and echoed reply: two relayed messages per round trip, one in
+  // each direction through the same gateway.
+  std::jthread echo([&](std::stop_token st) {
+    while (!st.stop_requested()) {
+      auto in = rig.server->commod().receive(100ms);
+      if (in.ok() && in.value().is_request) {
+        (void)rig.server->commod().reply(in.value().reply_ctx,
+                                         in.value().payload);
+      }
+    }
+  });
+  for (const Bytes& p : payloads) {
+    auto reply = rig.host->commod().request(addr, p, 5s);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply.value().payload, p);
+  }
+  echo.request_stop();
+  echo.join();
+  trace::set_sampling(trace::SampleMode::off);
+  EXPECT_EQ(hops.value() - hops0, 3 * payloads.size());
+  EXPECT_EQ(relayed() - relayed0, 3 * payloads.size());
+  EXPECT_EQ(fair_drops.value(), fair0);
+  EXPECT_EQ(relay_drops.value(), drops0);
 }
 
 TEST(TwoLansSimnet, HeterogeneousConversionAppliedAutomatically) {

@@ -155,7 +155,7 @@ TEST_P(NdConformance, MessagesRoundTrip) {
   ev = rig.next_b();
   ASSERT_TRUE(ev.ok());
   EXPECT_EQ(ev.value().kind, NdEvent::Kind::message);
-  EXPECT_EQ(ev.value().message, msg);
+  EXPECT_EQ(to_bytes(ev.value().body()), msg);
 }
 
 TEST_P(NdConformance, FragmentationOverTcpMtu) {
@@ -174,7 +174,7 @@ TEST_P(NdConformance, FragmentationOverTcpMtu) {
   auto ev = rig.next_b();
   ASSERT_TRUE(ev.ok());
   EXPECT_EQ(ev.value().kind, NdEvent::Kind::message);
-  EXPECT_EQ(ev.value().message, big);
+  EXPECT_EQ(to_bytes(ev.value().body()), big);
 }
 
 TEST_P(NdConformance, RetryOnOpenOutwaitsLateBinder) {
@@ -296,7 +296,7 @@ TEST(NdSimnet, FragmentationOverMbxMtu) {
   auto ev = rig.next_b();
   ASSERT_TRUE(ev.ok());
   EXPECT_EQ(ev.value().kind, NdEvent::Kind::message);
-  EXPECT_EQ(ev.value().message, big);
+  EXPECT_EQ(to_bytes(ev.value().body()), big);
 }
 
 TEST(NdSimnet, FailedOpenLeaksNoChannels_AckTimeout) {
@@ -389,7 +389,7 @@ TEST(NdSimnet, DuplicatedFramesReachApplicationOnce) {
     auto ev = rig.next_b();
     ASSERT_TRUE(ev.ok());
     ASSERT_EQ(ev.value().kind, NdEvent::Kind::message);
-    EXPECT_EQ(ev.value().message, to_bytes(std::to_string(i)));
+    EXPECT_EQ(to_bytes(ev.value().body()), to_bytes(std::to_string(i)));
   }
   // Nothing further arrives: every duplicate was eaten below the STD-IF.
   EXPECT_EQ(rig.events_b.pop_for(50ms).code(), Errc::timeout);

@@ -411,5 +411,242 @@ TEST(Fuzz, BitFlipsNeverCrash) {
   SUCCEED();
 }
 
+// ---------------------------------------------------------------- framed
+
+LcmHeader sample_header(bool traced) {
+  LcmHeader h;
+  h.kind = LcmKind::request;
+  h.flags = kLcmFlagInternal;
+  h.src = UAdd::permanent(0x1234);
+  h.dst = UAdd::permanent(0x5678);
+  h.req_id = 77;
+  h.mode = 2;
+  h.src_arch = 3;
+  if (traced) {
+    h.flags |= kLcmFlagTraced;
+    h.trace_hi = 0x0102030405060708ULL;
+    h.trace_lo = 0x1112131415161718ULL;
+    h.trace_parent = 0x2122232425262728ULL;
+  }
+  return h;
+}
+
+Bytes seeded_payload(std::size_t n) {
+  Rng rng(n + 1);
+  Bytes p(n);
+  for (auto& b : p) b = static_cast<std::uint8_t>(rng.next());
+  return p;
+}
+
+TEST(Framed, InPlaceHeadersMatchNestedEncoders) {
+  constexpr std::size_t kMtu = 16 * 1024;  // simnet TCP
+  constexpr std::uint64_t kIvc = 0xABCDEF0123ULL;
+  for (const bool traced : {false, true}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kMtu - 1,
+                                kMtu + 1, std::size_t{64 * 1024}}) {
+      SCOPED_TRACE(testing::Message() << "traced=" << traced << " n=" << n);
+      const LcmHeader h = sample_header(traced);
+      const Bytes payload = seeded_payload(n);
+      const Bytes nested =
+          encode_nd_payload(encode_ip_data(kIvc, encode_lcm(h, payload)));
+
+      Framed m = frame_lcm(h, payload);
+      EXPECT_EQ(m.off, kLcmHeadroom);
+      EXPECT_EQ(to_bytes(m.view()), encode_lcm(h, payload));
+      const std::uint8_t* const storage = m.buf.data();
+      push_ip_data(m, kIvc);
+      push_nd_payload(m);
+      // Both prologues went into the headroom: same buffer, no headroom
+      // left, and exactly the nested encoders' bytes.
+      EXPECT_EQ(m.buf.data(), storage);
+      EXPECT_EQ(m.off, 0u);
+      EXPECT_EQ(to_bytes(m.view()), nested);
+
+      // The frames sent from views of the one buffer are the frames the
+      // copying fragmenter makes of the nested encoding.
+      std::uint32_t seq = 0;
+      std::vector<Bytes> from_spans;
+      for (const FragSpan& sp : fragment_spans(m.view(), kMtu, seq)) {
+        std::uint8_t hdr[kFragHeaderMax];
+        Bytes f(hdr, hdr + encode_frag_header(sp, hdr));
+        append(f, sp.chunk);
+        from_spans.push_back(std::move(f));
+      }
+      EXPECT_EQ(from_spans, fragment(nested, kMtu));
+    }
+  }
+}
+
+TEST(Framed, ShortHeadroomGrowsOnce) {
+  const Bytes lcm = encode_lcm(sample_header(false), to_bytes("body"));
+  Framed m = framed_copy(lcm, 0);
+  push_ip_data(m, 9);
+  EXPECT_EQ(m.off, 0u);
+  EXPECT_EQ(to_bytes(m.view()), encode_ip_data(9, lcm));
+  Framed n = framed_copy(lcm, 5);
+  push_ip_data(n, 9);
+  push_nd_payload(n);
+  EXPECT_EQ(to_bytes(n.view()), encode_nd_payload(encode_ip_data(9, lcm)));
+}
+
+TEST(Framed, RelayRewritesTheIvcWordInPlace) {
+  const Bytes lcm = encode_lcm(sample_header(true), seeded_payload(300));
+  Framed m = framed_copy(encode_ip_data(1, lcm), kNdPrologueSize);
+  const std::uint8_t* const storage = m.buf.data();
+  set_ip_ivc(m, 0x0102030405060708ULL);
+  EXPECT_EQ(to_bytes(m.view()), encode_ip_data(0x0102030405060708ULL, lcm));
+  push_nd_payload(m);
+  EXPECT_EQ(m.buf.data(), storage);
+  EXPECT_EQ(to_bytes(m.view()),
+            encode_nd_payload(encode_ip_data(0x0102030405060708ULL, lcm)));
+}
+
+TEST(Framed, SingleFrameMessageIsAdoptedNotCopied) {
+  const Bytes msg = seeded_payload(200);
+  auto frames = fragment(msg, 1024);
+  ASSERT_EQ(frames.size(), 1u);
+  Bytes frame = frames[0];
+  const std::uint8_t* const storage = frame.data();
+  Reassembler r;
+  auto fed = r.feed(std::move(frame));
+  ASSERT_TRUE(fed.ok());
+  ASSERT_TRUE(fed.value().complete);
+  EXPECT_EQ(r.pending_bytes(), msg.size());
+  Framed out = r.take_framed();
+  EXPECT_EQ(out.buf.data(), storage);
+  EXPECT_EQ(out.off, kFragHeaderMax);
+  EXPECT_EQ(to_bytes(out.view()), msg);
+  EXPECT_EQ(r.pending_bytes(), 0u);
+
+  // The dedup rule still holds for an owned frame: a repeat is dropped.
+  Bytes again = frames[0];
+  auto dup = r.feed(std::move(again));
+  ASSERT_TRUE(dup.ok());
+  EXPECT_TRUE(dup.value().dropped);
+
+  // take() hands the same message back in a buffer of its own.
+  std::uint32_t seq = 1;
+  auto next = fragment(msg, 1024, seq);
+  ASSERT_TRUE(r.feed(std::move(next[0])).value().complete);
+  EXPECT_EQ(r.take(), msg);
+}
+
+TEST(Framed, OwnedFramesOfALongMessageAppendAsBefore) {
+  const Bytes msg = seeded_payload(5000);
+  auto frames = fragment(msg, 1024);
+  ASSERT_GT(frames.size(), 1u);
+  Reassembler r;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    auto fed = r.feed(std::move(frames[i]));
+    ASSERT_TRUE(fed.ok());
+    EXPECT_EQ(fed.value().complete, i + 1 == frames.size());
+  }
+  Framed out = r.take_framed();
+  EXPECT_EQ(out.off, 0u);
+  EXPECT_EQ(out.buf, msg);
+}
+
+TEST(Framed, OwnedSingleFrameWithWrongTotalIsDropped) {
+  auto frames = fragment(to_bytes("twelve bytes"), 1024);
+  ASSERT_EQ(frames.size(), 1u);
+  Bytes bad = frames[0];
+  bad[7] ^= 0x01;  // low byte of the announced total length
+  Reassembler r;
+  auto fed = r.feed(std::move(bad));
+  ASSERT_TRUE(fed.ok());
+  EXPECT_FALSE(fed.value().complete);
+  EXPECT_TRUE(fed.value().resynced);
+  EXPECT_EQ(r.pending_bytes(), 0u);
+}
+
+/// The view decoders accept exactly what the copying decoders accept, and
+/// decode the same fields; the copying decoders' bodies equal the views.
+void expect_decoders_agree(BytesView in) {
+  auto nd = decode_nd(in);
+  auto ndv = decode_nd_view(in);
+  ASSERT_EQ(nd.ok(), ndv.ok());
+  if (nd.ok()) {
+    EXPECT_EQ(nd.value().kind, ndv.value().kind);
+    EXPECT_EQ(nd.value().open.src_uadd, ndv.value().open.src_uadd);
+    EXPECT_EQ(nd.value().open.src_arch, ndv.value().open.src_arch);
+    EXPECT_EQ(nd.value().open.src_phys, ndv.value().open.src_phys);
+    EXPECT_EQ(nd.value().ack.uadd, ndv.value().ack.uadd);
+    EXPECT_EQ(nd.value().ack.arch, ndv.value().ack.arch);
+    EXPECT_EQ(nd.value().body, to_bytes(ndv.value().body));
+  } else {
+    EXPECT_EQ(nd.code(), ndv.code());
+  }
+  auto ip = decode_ip(in);
+  auto ipv = decode_ip_view(in);
+  ASSERT_EQ(ip.ok(), ipv.ok());
+  if (ip.ok()) {
+    EXPECT_EQ(ip.value().kind, ipv.value().kind);
+    EXPECT_EQ(ip.value().ivc, ipv.value().ivc);
+    EXPECT_EQ(ip.value().extend.final_uadd, ipv.value().extend.final_uadd);
+    EXPECT_EQ(ip.value().extend.route.size(), ipv.value().extend.route.size());
+    EXPECT_EQ(ip.value().errc, ipv.value().errc);
+    EXPECT_EQ(ip.value().text, ipv.value().text);
+    EXPECT_EQ(ip.value().body, to_bytes(ipv.value().body));
+  } else {
+    EXPECT_EQ(ip.code(), ipv.code());
+  }
+  auto lcm = decode_lcm(in);
+  auto lcmv = decode_lcm_view(in);
+  ASSERT_EQ(lcm.ok(), lcmv.ok());
+  if (lcm.ok()) {
+    const LcmHeader& a = lcm.value().header;
+    const LcmHeader& b = lcmv.value().header;
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.flags, b.flags);
+    EXPECT_EQ(a.src, b.src);
+    EXPECT_EQ(a.dst, b.dst);
+    EXPECT_EQ(a.req_id, b.req_id);
+    EXPECT_EQ(a.mode, b.mode);
+    EXPECT_EQ(a.src_arch, b.src_arch);
+    EXPECT_EQ(a.trace_hi, b.trace_hi);
+    EXPECT_EQ(a.trace_lo, b.trace_lo);
+    EXPECT_EQ(a.trace_parent, b.trace_parent);
+    EXPECT_EQ(lcm.value().payload, to_bytes(lcmv.value().payload));
+  } else {
+    EXPECT_EQ(lcm.code(), lcmv.code());
+  }
+}
+
+TEST(Framed, ViewDecodersAcceptAndRejectLikeCopyingDecoders) {
+  NdOpen open;
+  open.src_uadd = UAdd::permanent(5);
+  open.src_arch = 1;
+  open.src_phys = "tcp:m:1";
+  ExtendBody eb;
+  eb.final_uadd = UAdd::permanent(9);
+  eb.route = {{"n1", "p1"}, {"n2", "p2"}};
+  const Bytes lcm_plain = encode_lcm(sample_header(false), to_bytes("pay"));
+  const Bytes lcm_traced = encode_lcm(sample_header(true), to_bytes("load"));
+  const std::vector<Bytes> messages = {
+      encode_nd_open(open),
+      encode_nd_open_ack({UAdd::permanent(2), 4}),
+      encode_nd_payload(encode_ip_data(4, lcm_traced)),
+      encode_ip_data(4, lcm_plain),
+      encode_ip_extend(4, eb),
+      encode_ip_extend_ok(5),
+      encode_ip_extend_fail(6, 3, "no route"),
+      encode_ip_teardown(7),
+      lcm_plain,
+      lcm_traced,
+  };
+  Rng rng(2718);
+  for (const Bytes& msg : messages) {
+    for (std::size_t cut = 0; cut <= msg.size(); ++cut) {
+      expect_decoders_agree(BytesView(msg).first(cut));
+    }
+    for (int i = 0; i < 200; ++i) {
+      Bytes mutated = msg;
+      mutated[rng.next_below(mutated.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.next_below(8));
+      expect_decoders_agree(mutated);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ntcs::core::wire
